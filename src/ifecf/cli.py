@@ -9,7 +9,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -50,42 +49,15 @@ def _load(args):
     return load_csv(args.dataset, class_column=cc, delimiter=delim)
 
 
-def _read_config_file(path) -> dict:
-    """Flat key = value file; values parse as int, float, bool or string."""
-    out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: malformed config line {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        val = val.strip("\"'")
-        if val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-        else:
-            try:
-                out[key] = int(val)
-            except ValueError:
-                try:
-                    out[key] = float(val)
-                except ValueError:
-                    out[key] = val
-    return out
-
-
-def _write_manifest(out_dir: Path, args, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, args) -> None:
     digest = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
     manifest = {
         "command": sys.argv,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "dataset_sha256": digest,
-        "threads": os.environ.get("IFECF_THREADS", "0"),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if extra:
-        manifest["config"].update(extra)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, default=str), encoding="utf-8"
     )
@@ -147,19 +119,20 @@ def cmd_select(args) -> int:
         result = cfs_search(d, cfg)
     else:
         weights = relief(d, cfg)
-        kept = [j for j, w in enumerate(weights.weights) if w >= args.relief_threshold]
+        kept = [j for j, w in enumerate(weights) if w >= args.relief_threshold]
         if not kept:
             raise SelectionError("relief threshold eliminates every feature")
         eliminated = [
-            (j, "below-relief-threshold", float(weights.weights[j]))
+            (j, "below-relief-threshold", float(weights[j]))
             for j in range(d.n_features)
             if j not in kept
         ]
         result = SelectionResult(kept=kept, eliminated=eliminated)
-        print("relief weights:", " ".join(f"{w:.4f}" for w in weights.weights))
+        print("relief weights:", " ".join(f"{w:.4f}" for w in weights))
 
     if args.out:
-        Path(args.out).write_text(json.dumps(result.to_dict(), indent=2), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(result.to_dict(), fh, indent=2)
     kept_names = [d.feature_names[j] for j in result.kept]
     print(f"kept {len(result.kept)}/{d.n_features}: {', '.join(kept_names)}")
     if result.merit_trace:
@@ -199,7 +172,6 @@ def cmd_classify(args) -> int:
 
 def cmd_bench(args) -> int:
     d = _load(args)
-    overrides = _read_config_file(args.config) if args.config else {}
     selection = None
     if args.select:
         selection = SelectionConfig(
@@ -229,7 +201,7 @@ def cmd_bench(args) -> int:
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2), encoding="utf-8"
     )
-    _write_manifest(out_dir, args, extra=overrides)
+    _write_manifest(out_dir, args)
     if not args.no_plot:
         sweep_charts(report.to_dict(), out_dir)
     print(f"wrote {len(report.records)} cell records to {out_dir}")
@@ -306,7 +278,6 @@ def build_parser() -> _Parser:
     _add_selection_args(p)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--no-plot", action="store_true")
-    p.add_argument("--config", default=None, help="key = value overrides file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 

@@ -1,6 +1,6 @@
 """Statistical measures: linear correlation, entropy, conditional entropy,
-information gain, coefficient of dispersion, and the equal-frequency
-discretizer that backs the information-theoretic measures on continuous data."""
+information gain, coefficient of dispersion, and the class-relevance score
+built from them."""
 
 from __future__ import annotations
 
@@ -80,63 +80,37 @@ def information_gain(a, b) -> float:
     """IG(A|B) = E(A) - E(A|B); symmetric in its arguments."""
     a = np.asarray(a)
     _, counts = np.unique(a, return_counts=True)
-    ig = _counts_entropy(counts) - conditional_entropy(a, b)
+    ig = float(_counts_entropy(counts) - conditional_entropy(a, b))
     # empirical estimate can dip a hair below zero
     return max(0.0, ig)
 
 
+def dispersion_scores(features: np.ndarray) -> np.ndarray:
+    """Per-column coefficient of dispersion |sigma/mean| with population std;
+    NaN marks zero-mean columns.
+
+    Single vectorized pass, linear in the number of features.
+    """
+    means = features.mean(axis=0)
+    sigma = np.sqrt(np.mean((features - means) ** 2, axis=0))
+    out = np.full(features.shape[1], np.nan)
+    nz = means != 0
+    out[nz] = np.abs(sigma[nz] / means[nz])
+    return out
+
+
 def dispersion(x) -> float:
-    """Coefficient of dispersion |sigma/mean| with population std.
+    """Coefficient of dispersion |sigma/mean| of one vector.
 
     Raises MeasureError on a zero mean (undefined ratio).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 1:
         raise MeasureError("dispersion needs at least 1 point")
-    mean = float(x.mean())
-    if mean == 0.0:
+    score = float(dispersion_scores(x.reshape(-1, 1))[0])
+    if math.isnan(score):
         raise MeasureError("zero mean: coefficient of dispersion undefined")
-    sigma = float(np.sqrt(np.mean((x - mean) ** 2)))
-    return abs(sigma / mean)
-
-
-@dataclass(frozen=True)
-class Discretization:
-    """Equal-frequency cut points per feature, fitted on training data."""
-
-    bin_count: int
-    cuts: tuple  # tuple of per-feature float arrays, strictly increasing
-
-    def n_bins(self, feature: int) -> int:
-        return len(self.cuts[feature]) + 1
-
-
-def fit_discretizer(train: Dataset, bin_count: int = 10) -> Discretization:
-    """Equal-frequency bins from training values.
-
-    Features with fewer distinct values than bins fall back to one bin
-    per distinct value.
-    """
-    if bin_count < 2:
-        raise MeasureError("bin_count must be >= 2")
-    cuts = []
-    for j in range(train.n_features):
-        col = np.sort(train.features[:, j])
-        distinct = np.unique(col)
-        if distinct.size <= bin_count:
-            c = (distinct[:-1] + distinct[1:]) / 2.0
-        else:
-            qs = np.quantile(col, np.linspace(0, 1, bin_count + 1)[1:-1])
-            c = np.unique(qs)
-        cuts.append(np.asarray(c, dtype=np.float64))
-    return Discretization(bin_count, tuple(cuts))
-
-
-def discretize(x, d: Discretization, feature: int) -> np.ndarray:
-    """Map values to bin ids; ties at a cut go to the lower bin,
-    out-of-range values clamp to the first/last bin."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.searchsorted(d.cuts[feature], x, side="left").astype(np.int64)
+    return score
 
 
 @dataclass(frozen=True)
@@ -147,39 +121,40 @@ class FeatureStats:
     c_correlation: float
 
 
-def c_correlation(x, labels, class_count: int, bins: Discretization | None = None,
-                  feature: int = 0) -> float:
+def c_correlation(x, labels, class_count: int) -> float:
     """Feature-to-class relevance score.
 
     Two-class data uses |Pearson r| against the integer class id; more
-    classes use information gain (order-free) on the discretized feature.
-    Constant features score 0 by convention.
+    classes use information gain (order-free) on the feature cut into 10
+    equal-frequency bins (one bin per value when it has 10 or fewer distinct
+    values; a value equal to a cut falls in the lower bin). Constant
+    features score 0 by convention.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.all(x == x[0]):
         return 0.0
     if class_count == 2:
         return abs(correlation(x, np.asarray(labels, dtype=np.float64)))
-    if bins is not None:
-        xd = discretize(x, bins, feature)
+    ranks = np.unique(x)
+    if ranks.size > 10:
+        cutpts = np.unique(np.quantile(np.sort(x), np.linspace(0, 1, 11)[1:-1]))
     else:
-        ranks = np.unique(x)
-        if ranks.size > 10:
-            cutpts = np.unique(np.quantile(np.sort(x), np.linspace(0, 1, 11)[1:-1]))
-        else:
-            cutpts = (ranks[:-1] + ranks[1:]) / 2.0
-        xd = np.searchsorted(cutpts, x, side="left")
+        cutpts = (ranks[:-1] + ranks[1:]) / 2.0
+    xd = np.searchsorted(cutpts, x, side="left")
     return information_gain(np.asarray(labels), xd)
 
 
 def feature_stats(d: Dataset) -> list[FeatureStats]:
     """Per-feature mean, population std, dispersion and class relevance."""
-    out = []
-    for j in range(d.n_features):
-        col = d.features[:, j]
-        mean = float(col.mean())
-        std = float(np.sqrt(np.mean((col - mean) ** 2)))
-        disp = abs(std / mean) if mean != 0.0 else None
-        cc = c_correlation(col, d.labels, d.class_count)
-        out.append(FeatureStats(mean, std, disp, cc))
-    return out
+    means = d.features.mean(axis=0)
+    stds = d.features.std(axis=0)
+    disp = dispersion_scores(d.features)
+    return [
+        FeatureStats(
+            float(means[j]),
+            float(stds[j]),
+            None if math.isnan(disp[j]) else float(disp[j]),
+            c_correlation(d.features[:, j], d.labels, d.class_count),
+        )
+        for j in range(d.n_features)
+    ]

@@ -1,18 +1,19 @@
 """Feature-elimination strategies: the dispersion / class-correlation /
 inter-feature-correlation filter pipeline, CFS merit with best-first forward
-search, an exhaustive-search oracle, and Relief weighting."""
+search, and Relief weighting."""
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .measures import MeasureError, c_correlation, correlation
+from .measures import c_correlation, dispersion_scores
+# perfbench/tracer.py counts calls made through select.correlation by that name.
+from .measures import correlation  # noqa: F401
 
 
 class SelectionError(ValueError):
@@ -59,66 +60,13 @@ class SelectionResult:
         }
 
 
-@dataclass(frozen=True)
-class Merit:
-    """Heuristic subset strength: k*r_cf / sqrt(k + k(k-1)*r_ff)."""
-
-    value: float
-    k: int
-    r_cf: float
-    r_ff: float
-
-
 def merit_value(k: int, r_cf: float, r_ff: float) -> float:
+    """Hall's CFS merit k*r_cf / sqrt(k + k(k-1)*r_ff) of a k-feature subset."""
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
-
-
-def _safe_abs_corr(x: np.ndarray, y: np.ndarray) -> float:
-    """|Pearson r|, with 0 for zero-variance inputs (no linear relation)."""
-    try:
-        return abs(correlation(x, y))
-    except MeasureError:
-        return 0.0
-
-
-class _CorrelationCache:
-    """Lazily memoized class-feature and feature-feature correlations."""
-
-    def __init__(self, d: Dataset):
-        self.d = d
-        self._cc: dict[int, float] = {}
-        self._ff: dict[tuple[int, int], float] = {}
-
-    def cc(self, i: int) -> float:
-        if i not in self._cc:
-            self._cc[i] = c_correlation(self.d.features[:, i], self.d.labels, self.d.class_count)
-        return self._cc[i]
-
-    def ff(self, i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        if key not in self._ff:
-            self._ff[key] = _safe_abs_corr(
-                self.d.features[:, key[0]], self.d.features[:, key[1]]
-            )
-        return self._ff[key]
-
-
-def dispersion_scores(features: np.ndarray) -> np.ndarray:
-    """Per-feature |sigma/mean|; NaN marks zero-mean features.
-
-    Single vectorized pass, linear in the number of features.
-    """
-    means = features.mean(axis=0)
-    sigma = np.sqrt(np.mean((features - means) ** 2, axis=0))
-    out = np.full(features.shape[1], np.nan)
-    nz = means != 0
-    out[nz] = np.abs(sigma[nz] / means[nz])
-    return out
 
 
 def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise |Pearson r| between features; zero-variance rows/cols are 0."""
-    n = features.shape[1]
     dev = features - features.mean(axis=0)
     norms = np.sqrt((dev**2).sum(axis=0))
     ok = norms > 0
@@ -142,8 +90,6 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
        ``tau_f``.
     """
     result = SelectionResult(kept=[])
-    cache = _CorrelationCache(train)
-
     disp = dispersion_scores(train.features)
     alive = []
     for j in range(train.n_features):
@@ -155,16 +101,17 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
         else:
             alive.append(j)
 
+    cc = {j: c_correlation(train.features[:, j], train.labels, train.class_count)
+          for j in alive}
     survivors = []
     for j in alive:
-        cc = cache.cc(j)
-        if abs(cc) < cfg.tau_c:
-            result.eliminated.append((j, "low-c-correlation", cc))
+        if abs(cc[j]) < cfg.tau_c:
+            result.eliminated.append((j, "low-c-correlation", cc[j]))
         else:
             survivors.append(j)
 
     # descending relevance; equal scores keep the lower index first
-    order = sorted(survivors, key=lambda j: (-cache.cc(j), j))
+    order = sorted(survivors, key=lambda j: (-cc[j], j))
     dropped: set[int] = set()
     if order:
         rmat = f_correlation_matrix(train.features[:, order])
@@ -186,7 +133,7 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     return result
 
 
-def cfs_merit(train: Dataset, subset, cache: _CorrelationCache | None = None) -> Merit:
+def cfs_merit(train: Dataset, subset) -> float:
     """Merit of a feature subset from mean class-feature and mean pairwise
     feature-feature correlation magnitudes."""
     subset = sorted(set(int(s) for s in subset))
@@ -194,15 +141,14 @@ def cfs_merit(train: Dataset, subset, cache: _CorrelationCache | None = None) ->
         raise SelectionError("empty subset has no merit")
     if any(s < 0 or s >= train.n_features for s in subset):
         raise SelectionError("subset index out of range")
-    cache = cache or _CorrelationCache(train)
     k = len(subset)
-    r_cf = sum(abs(cache.cc(j)) for j in subset) / k
-    if k == 1:
-        r_ff = 0.0
-    else:
-        pairs = list(itertools.combinations(subset, 2))
-        r_ff = sum(cache.ff(i, j) for i, j in pairs) / len(pairs)
-    return Merit(merit_value(k, r_cf, r_ff), k, r_cf, r_ff)
+    x = train.features[:, subset]
+    r_cf = sum(abs(c_correlation(x[:, i], train.labels, train.class_count))
+               for i in range(k)) / k
+    r_ff = 0.0
+    if k > 1:
+        r_ff = float(np.triu(f_correlation_matrix(x), 1).sum()) / (k * (k - 1) / 2)
+    return merit_value(k, r_cf, r_ff)
 
 
 def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
@@ -210,18 +156,27 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
 
     Starts from the empty set, expands the best open subset by one unused
     feature at a time, and stops after ``bffs_patience`` consecutive
-    expansions that fail to improve the best merit seen.
+    expansions that fail to improve the best merit seen. Each open subset
+    carries its sums of class and pairwise feature correlations, so a
+    child's merit costs one row of the |r| matrix over the parent's members.
     """
-    cache = _CorrelationCache(train)
+    n = train.n_features
+    cc = [c_correlation(train.features[:, j], train.labels, train.class_count)
+          for j in range(n)]
+    rmat = f_correlation_matrix(train.features)
     trace: list[tuple[tuple[int, ...], float]] = []
-    open_heap: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    # (-merit, subset, sum of |r_cf|, sum of pairwise r_ff); subsets are unique,
+    # so the heap orders on (-merit, subset) alone
+    open_heap: list[tuple[float, tuple[int, ...], float, float]] = [(0.0, (), 0.0, 0.0)]
     seen: set[tuple[int, ...]] = {()}
     best_subset: tuple[int, ...] = ()
     best_merit = -math.inf
     stall = 0
-    n = train.n_features
     while open_heap and stall < cfg.bffs_patience:
-        _, subset = heapq.heappop(open_heap)
+        _, subset, sum_cf, sum_ff = heapq.heappop(open_heap)
+        k = len(subset) + 1
+        pairs = k * (k - 1) / 2
+        row_sums = rmat[:, list(subset)].sum(axis=1)
         improved = False
         for f in range(n):
             if f in subset:
@@ -230,9 +185,11 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
             if child in seen:
                 continue
             seen.add(child)
-            m = cfs_merit(train, child, cache).value
+            child_cf = sum_cf + abs(cc[f])
+            child_ff = sum_ff + float(row_sums[f])
+            m = merit_value(k, child_cf / k, child_ff / pairs if k > 1 else 0.0)
             trace.append((child, m))
-            heapq.heappush(open_heap, (-m, child))
+            heapq.heappush(open_heap, (-m, child, child_cf, child_ff))
             if m > best_merit + 1e-12:
                 best_merit, best_subset = m, child
                 improved = True
@@ -240,40 +197,12 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
             stall = 0 if improved else stall + 1
     kept = sorted(best_subset)
     eliminated = [
-        (j, "not-in-best-subset", cache.cc(j)) for j in range(n) if j not in best_subset
+        (j, "not-in-best-subset", cc[j]) for j in range(n) if j not in best_subset
     ]
     return SelectionResult(kept=kept, eliminated=eliminated, merit_trace=trace)
 
 
-def exhaustive_search(train: Dataset, max_n: int = 20) -> SelectionResult:
-    """Evaluate every non-empty subset; ties prefer fewer features, then
-    lexicographic order. Test oracle for cfs_search; exponential cost."""
-    n = train.n_features
-    if n > max_n:
-        raise SelectionError(f"exhaustive search capped at N={max_n}, got N={n}")
-    cache = _CorrelationCache(train)
-    trace = []
-    best_subset, best_merit = None, -math.inf
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            m = cfs_merit(train, subset, cache).value
-            trace.append((subset, m))
-            if m > best_merit:
-                best_merit, best_subset = m, subset
-    kept = list(best_subset)
-    eliminated = [(j, "not-in-best-subset", cache.cc(j)) for j in range(n) if j not in best_subset]
-    return SelectionResult(kept=kept, eliminated=eliminated, merit_trace=trace)
-
-
-@dataclass(frozen=True)
-class ReliefWeights:
-    weights: np.ndarray
-
-    def to_list(self) -> list[float]:
-        return [float(w) for w in self.weights]
-
-
-def relief(train: Dataset, cfg: SelectionConfig) -> ReliefWeights:
+def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
     """Relief relevance weights.
 
     For each of n seeded random picks, find the nearest same-class hit and
@@ -304,7 +233,7 @@ def relief(train: Dataset, cfg: SelectionConfig) -> ReliefWeights:
         hit = int(np.argmin(hit_d))
         miss = int(np.argmin(miss_d))
         w += (diffs[miss] ** 2 - diffs[hit] ** 2) / n
-    return ReliefWeights(w)
+    return w
 
 
 def apply_selection(d: Dataset, r: SelectionResult) -> Dataset:

@@ -56,9 +56,41 @@ def merit_oracle(k, r_cf, r_ff):
 
 
 def exhaustive_best_merit(n_features, merit_fn):
-    """Max merit over all non-empty subsets, computed by plain enumeration."""
-    best = -math.inf
+    """Max merit over all non-empty subsets and the subset attaining it,
+    computed by plain enumeration; ties keep the first subset enumerated
+    (fewer features, then lexicographic order)."""
+    best, best_subset = -math.inf, None
     for k in range(1, n_features + 1):
         for subset in combinations(range(n_features), k):
-            best = max(best, merit_fn(subset))
-    return best
+            m = merit_fn(subset)
+            if m > best:
+                best, best_subset = m, subset
+    return best, best_subset
+
+
+def abs_corr_oracle(x, y):
+    """|Pearson r|, with 0 when either input has zero variance."""
+    try:
+        return abs(corr_oracle(x, y))
+    except ZeroDivisionError:
+        return 0.0
+
+
+def exhaustive_search(d):
+    """Best CFS merit over every non-empty feature subset of a two-class
+    dataset, and that subset: |r| against the class id as r_cf, mean
+    pairwise |r| as r_ff. Exponential cost; a test oracle for cfs_search."""
+    if d.class_count != 2:
+        raise ValueError("the CFS oracle covers two-class data only")
+    cols = [[float(v) for v in d.features[:, j]] for j in range(d.n_features)]
+    labels = [float(c) for c in d.labels]
+    r_cf = [abs_corr_oracle(c, labels) for c in cols]
+    r_ff = [[abs_corr_oracle(a, b) for b in cols] for a in cols]
+
+    def merit(subset):
+        k = len(subset)
+        pairs = list(combinations(subset, 2))
+        ff = sum(r_ff[i][j] for i, j in pairs) / len(pairs) if pairs else 0.0
+        return merit_oracle(k, sum(r_cf[j] for j in subset) / k, ff)
+
+    return exhaustive_best_merit(d.n_features, merit)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset
+from ifecf import __version__
 from ifecf.cli import main
 from ifecf.data import load_csv, write_csv
+from oracles import exhaustive_search
 
 
 @pytest.fixture
@@ -67,13 +70,11 @@ class TestSelect:
         assert len(doc["kept"]) + len(doc["eliminated"]) == 3
 
     def test_cfs_matches_exhaustive(self, small_csv, capsys):
-        from ifecf.select import exhaustive_search
-
         assert main(["select", str(small_csv), "--method", "cfs"]) == 0
         out = capsys.readouterr().out
         printed = float(out.split("best merit:")[1].split()[0])
         d = load_csv(small_csv)
-        best = max(m for _, m in exhaustive_search(d).merit_trace)
+        best, _ = exhaustive_search(d)
         assert printed == pytest.approx(best, abs=1e-6)
 
     def test_relief_zero_samples_usage_error(self, small_csv):
@@ -147,15 +148,16 @@ class TestBench:
         assert len(rows) == 3
 
     def test_config_file_echoed_to_manifest(self, small_csv, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("note = hello\nknob = 3\n")
         out = tmp_path / "run"
-        assert self._run(small_csv, out, "--config", str(cfgfile)) == 0
+        with pytest.raises(SystemExit) as exc:  # no overrides file: the manifest is the run
+            self._run(small_csv, out, "--config", "run.cfg")
+        assert exc.value.code == 1
+        assert self._run(small_csv, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["note"] == "hello"
-        assert manifest["config"]["knob"] == 3
-        assert manifest["dataset_sha256"]
-        assert manifest["version"]
+        assert manifest["config"]["epochs"] == 3
+        assert "threads" not in manifest
+        assert manifest["dataset_sha256"] == hashlib.sha256(small_csv.read_bytes()).hexdigest()
+        assert manifest["version"] == __version__
 
 
 class TestPlot:

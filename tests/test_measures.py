@@ -11,11 +11,9 @@ from ifecf.measures import (
     c_correlation,
     conditional_entropy,
     correlation,
-    discretize,
     dispersion,
     entropy,
     feature_stats,
-    fit_discretizer,
     information_gain,
 )
 from oracles import (
@@ -159,37 +157,35 @@ class TestDispersion:
 
 
 class TestDiscretizer:
-    def _ds(self, col):
-        col = np.asarray(col, dtype=float).reshape(-1, 1)
-        return make_dataset(col, [i % 2 for i in range(len(col))])
+    """c_correlation's equal-frequency binning on more than two classes,
+    pinned against the information-gain oracle on bins built by hand."""
 
-    def test_two_bins_cut_at_median(self):
-        d = fit_discretizer(self._ds(range(1, 11)), bin_count=2)
-        assert d.cuts[0].tolist() == [5.5]
-        assert discretize([3.0], d, 0).tolist() == [0]
-        assert discretize([8.0], d, 0).tolist() == [1]
-
-    def test_constant_feature_single_bin(self):
-        d = fit_discretizer(self._ds([7.0] * 6), bin_count=4)
-        assert d.n_bins(0) == 1
-        assert discretize([7.0, 100.0], d, 0).tolist() == [0, 0]
-
-    def test_out_of_range_clamps(self):
-        d = fit_discretizer(self._ds(range(1, 11)), bin_count=2)
-        assert discretize([-100.0], d, 0).tolist() == [0]
-        assert discretize([100.0], d, 0).tolist() == [1]
+    def test_ten_bins_for_many_distinct_values(self):
+        rng = np.random.default_rng(21)
+        x = rng.permutation(40).astype(float)  # 40 distinct values: 10 bins of 4
+        labels = rng.integers(0, 3, size=40)
+        bins = [int(v) // 4 for v in x]
+        assert c_correlation(x, labels, 3) == pytest.approx(
+            info_gain_oracle(list(labels), bins), abs=1e-12
+        )
 
     def test_tie_goes_to_lower_bin(self):
-        d = fit_discretizer(self._ds(range(1, 11)), bin_count=2)
-        assert discretize([5.5], d, 0).tolist() == [0]
+        # 0..20: the cuts fall exactly on the values 2, 4, ..., 18
+        x = np.arange(21.0)
+        labels = np.array([0, 0, 1, 2, 2, 1, 1, 0, 2, 0, 1, 2, 0, 1, 2, 2, 0, 1, 0, 2, 1])
+        lower = [0 if v <= 2 else (v - 1) // 2 for v in range(21)]
+        upper = [v // 2 if v < 20 else 9 for v in range(21)]
+        ig_lower = info_gain_oracle(list(labels), lower)
+        assert abs(ig_lower - info_gain_oracle(list(labels), upper)) > 1e-3
+        assert c_correlation(x, labels, 3) == pytest.approx(ig_lower, abs=1e-12)
 
     def test_few_distinct_values(self):
-        d = fit_discretizer(self._ds([1.0, 1.0, 2.0, 2.0]), bin_count=10)
-        assert d.n_bins(0) == 2
-
-    def test_bin_count_validation(self):
-        with pytest.raises(MeasureError):
-            fit_discretizer(self._ds(range(4)), bin_count=1)
+        rng = np.random.default_rng(22)
+        x = rng.choice([1.5, 2.0, 7.0, 9.0, 9.5, 11.0, 12.0, 13.0, 20.0, 21.0], size=60)
+        labels = rng.integers(0, 4, size=60)
+        assert c_correlation(x, labels, 4) == pytest.approx(
+            info_gain_oracle(list(labels), list(x)), abs=1e-12
+        )
 
 
 class TestCCorrelation:

@@ -10,14 +10,12 @@ from ifecf.select import (
     apply_selection,
     cfs_merit,
     cfs_search,
-    dispersion_scores,
-    exhaustive_search,
     f_correlation_matrix,
     ife_cf,
     merit_value,
     relief,
 )
-from oracles import merit_oracle
+from oracles import dispersion_oracle, exhaustive_search, merit_oracle
 
 
 def open_config(**kw):
@@ -113,8 +111,7 @@ class TestMerit:
         for j in range(3):
             m = cfs_merit(d, [j])
             expected = abs(c_correlation(d.features[:, j], d.labels, d.class_count))
-            assert m.value == pytest.approx(expected, abs=1e-12)
-            assert m.r_ff == 0.0
+            assert m == pytest.approx(expected, abs=1e-12)
 
     def test_formula_against_oracle(self):
         rng = np.random.default_rng(8)
@@ -154,30 +151,29 @@ class TestSearch:
             rng = np.random.default_rng(seed)
             d = random_dataset(rng, m=40, n=int(rng.integers(2, 8)))
             best_bffs = max(m for _, m in cfs_search(d, SelectionConfig()).merit_trace)
-            best_exh = max(m for _, m in exhaustive_search(d).merit_trace)
+            best_exh, _ = exhaustive_search(d)
             if abs(best_bffs - best_exh) <= 1e-9:
                 hits += 1
         assert hits >= 29
-
-    def test_exhaustive_counts_subsets(self):
-        rng = np.random.default_rng(11)
-        d = random_dataset(rng, m=20, n=3)
-        r = exhaustive_search(d)
-        assert len(r.merit_trace) == 7  # 2^3 - 1
-
-    def test_exhaustive_cap(self):
-        rng = np.random.default_rng(12)
-        d = random_dataset(rng, m=25, n=6)
-        with pytest.raises(SelectionError, match="capped"):
-            exhaustive_search(d, max_n=5)
 
     def test_exhaustive_dominates_bffs(self):
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             d = random_dataset(rng, m=40, n=8)
-            exh = max(m for _, m in exhaustive_search(d).merit_trace)
+            exh, _ = exhaustive_search(d)
             bffs = max(m for _, m in cfs_search(d, SelectionConfig()).merit_trace)
             assert exh >= bffs - 1e-12
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_trace_merits_match_cfs_merit(self, classes):
+        # the search's running sums against the one-subset merit
+        rng = np.random.default_rng(23)
+        d = random_dataset(rng, m=60, n=9, classes=classes)
+        trace = cfs_search(d, SelectionConfig()).merit_trace
+        assert len(trace) > 9
+        for subset, m in trace:
+            assert type(m) is float
+            assert m == pytest.approx(cfs_merit(d, subset), abs=1e-12)
 
     def test_strong_single_feature_wins(self):
         rng = np.random.default_rng(13)
@@ -188,8 +184,8 @@ class TestSearch:
         x = np.column_stack([strong, weak, weak + 0.01 * rng.normal(size=m)])
         d = make_dataset(x, labels)
         r = cfs_search(d, SelectionConfig())
-        exh = exhaustive_search(d)
-        assert exh.kept == [0]
+        _, exh_subset = exhaustive_search(d)
+        assert exh_subset == (0,)
         assert r.kept == [0]
 
 
@@ -199,7 +195,7 @@ class TestRelief:
         labels = rng.integers(0, 2, 30)
         x = np.column_stack([np.full(30, 2.0), rng.normal(size=30) + labels])
         d = make_dataset(x, labels)
-        w = relief(d, SelectionConfig(relief_samples=30)).weights
+        w = relief(d, SelectionConfig(relief_samples=30))
         assert w[0] == 0.0
 
     def test_informative_beats_noise(self):
@@ -212,7 +208,7 @@ class TestRelief:
                 [labels.astype(float) + 0.05 * rng.normal(size=m), rng.uniform(size=m)]
             )
             d = make_dataset(x, labels)
-            w = relief(d, SelectionConfig(relief_samples=m, seed=seed)).weights
+            w = relief(d, SelectionConfig(relief_samples=m, seed=seed))
             if w[0] > w[1]:
                 wins += 1
         assert wins >= 95
@@ -221,8 +217,8 @@ class TestRelief:
         rng = np.random.default_rng(15)
         d = random_dataset(rng, m=25, n=4)
         cfg = SelectionConfig(relief_samples=25, seed=3)
-        w1 = relief(d, cfg).weights
-        w2 = relief(d, cfg).weights
+        w1 = relief(d, cfg)
+        w2 = relief(d, cfg)
         assert np.array_equal(w1, w2)
 
     def test_single_instance_class_error(self):
@@ -237,13 +233,13 @@ class TestRelief:
         info = labels + 0.1 * rng.normal(size=m)
         x = np.column_stack([info, info.copy(), rng.normal(size=m)])
         d = make_dataset(x, labels)
-        w = relief(d, SelectionConfig(relief_samples=m, seed=2)).weights
+        w = relief(d, SelectionConfig(relief_samples=m, seed=2))
         assert abs(w[0] - w[1]) <= 1e-9
 
     def test_weights_bounded(self):
         rng = np.random.default_rng(17)
         d = random_dataset(rng, m=50, n=6)
-        w = relief(d, SelectionConfig(relief_samples=50)).weights
+        w = relief(d, SelectionConfig(relief_samples=50))
         assert np.all(w >= -1.0) and np.all(w <= 1.0)
 
 
@@ -274,13 +270,15 @@ class TestApplySelection:
 
 class TestVectorizedPasses:
     def test_dispersion_scores_match_scalar(self):
-        from ifecf.measures import dispersion
+        from ifecf.measures import dispersion_scores
 
         rng = np.random.default_rng(19)
         x = rng.uniform(1, 5, size=(30, 6))
+        x[:, 2] = np.tile([-1.5, 0.5, 1.0], 10)  # mean exactly 0
         scores = dispersion_scores(x)
-        for j in range(6):
-            assert scores[j] == pytest.approx(dispersion(x[:, j]), abs=1e-12)
+        assert math.isnan(scores[2])
+        for j in (0, 1, 3, 4, 5):
+            assert scores[j] == pytest.approx(dispersion_oracle(list(x[:, j])), abs=1e-12)
 
     def test_f_correlation_matrix_matches_scalar(self):
         from ifecf.measures import correlation
