@@ -199,12 +199,11 @@ def _run_cell(d: Dataset, cfg: SweepConfig, fraction: float, alpha: float,
     if target is None:
         correct = res_tr.correct + res_te.correct
         total = res_tr.total + res_te.total
+        whole_correct = correct
     else:
         correct, total = res.correct, res.total
-
-    whole_correct = (
-        evaluate(model, train_d).correct + evaluate(model, test_d).correct
-    )
+        other = train_d if target is test_d else test_d
+        whole_correct = correct + evaluate(model, other).correct
     return CellRecord(
         fraction=fraction,
         alpha=alpha,

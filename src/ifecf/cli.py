@@ -13,10 +13,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, lvq  # lvq.classify_batch is looked up per call
 from .bench import BenchError, SweepConfig, run_sweep
 from .data import DataError, load_csv
-from .lvq import LVQConfig, LVQError, LVQModel, evaluate, init_codebook
+from .lvq import LVQConfig, LVQError, LVQModel, init_codebook
 from .lvq import train as lvq_train
 from .measures import feature_stats
 from .plots import sweep_charts
@@ -50,7 +50,11 @@ def _load(args):
 
 
 def _write_manifest(out_dir: Path, args) -> None:
-    digest = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(args.dataset, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    digest = h.hexdigest()
     manifest = {
         "command": sys.argv,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -160,12 +164,11 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = LVQModel.load(args.model)
     d = _load(args)
-    res = evaluate(model, d)
-    from .lvq import classify_batch
-
-    for i, pred in enumerate(classify_batch(model, d.features)):
+    preds = lvq.classify_batch(model, d.features)
+    for i, pred in enumerate(preds):
         print(f"{i}\t{d.class_names[pred]}")
-    print(f"accuracy: {res.correct}/{res.total} = {100 * res.accuracy:.2f}%",
+    correct = int((preds == d.labels).sum())
+    print(f"accuracy: {correct}/{d.n_instances} = {100 * (correct / d.n_instances):.2f}%",
           file=sys.stderr)
     return EXIT_OK
 

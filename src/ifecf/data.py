@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -101,72 +102,124 @@ class NormalizationParams:
         object.__setattr__(self, "maxs", _freeze(np.asarray(self.maxs, dtype=np.float64)))
 
 
+# Cells per parse block. The cell strings of one block (about 90 bytes each)
+# are the parser's only memory beyond the float64 result.
+BLOCK_CELLS = 1 << 14
+
+
 def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     """Load a delimited text file with a header row into a Dataset.
 
     ``class_column`` selects the label column by name or 0-based index;
     default is the last column. Labels map to contiguous integer ids in
-    first-appearance order.
+    first-appearance order. Blank lines are skipped, and errors name the
+    file's physical line. Rows are parsed in blocks of about ``BLOCK_CELLS``
+    cells, so memory stays near one float64 copy of the features.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
-        if delimiter == " ":
-            rows = [line.split() for line in fh if line.strip()]
+        rows = _numbered_rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: need a header row and at least one data row")
+        header = [c.strip() for c in first[1]]
+        arity = len(header)
+        block_rows = max(1, BLOCK_CELLS // arity)
+        block = list(islice(rows, block_rows))
+        if not block:
+            raise DataError(f"{path}: need a header row and at least one data row")
+        if class_column is None:
+            class_idx = arity - 1
+        elif isinstance(class_column, int):
+            if not 0 <= class_column < arity:
+                raise DataError(f"class column index {class_column} out of range")
+            class_idx = class_column
         else:
-            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one data row")
-    header = [c.strip() for c in rows[0]]
-    arity = len(header)
-    if class_column is None:
-        class_idx = arity - 1
-    elif isinstance(class_column, int):
-        if not 0 <= class_column < arity:
-            raise DataError(f"class column index {class_column} out of range")
-        class_idx = class_column
-    else:
-        try:
-            class_idx = header.index(class_column)
-        except ValueError:
-            raise DataError(f"class column {class_column!r} not in header {header}") from None
+            try:
+                class_idx = header.index(class_column)
+            except ValueError:
+                raise DataError(f"class column {class_column!r} not in header {header}") from None
+
+        ids: dict[str, int] = {}  # label token -> id, in first-appearance order
+        feat_blocks, label_blocks = [], []
+        while block:
+            parsed = _parse_block(block, arity, class_idx, ids)
+            if parsed is None:
+                raise _first_bad_cell(path, block, header, class_idx)
+            feat_blocks.append(parsed[0])
+            label_blocks.append(parsed[1])
+            del block  # free this block's cells before reading the next
+            block = list(islice(rows, block_rows))
 
     feature_names = tuple(h for i, h in enumerate(header) if i != class_idx)
-    feat_rows: list[list[float]] = []
-    label_tokens: list[str] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    if len(ids) < 2:
+        raise DataError(f"{path}: single-class dataset, classification undefined")
+    labels = np.concatenate(label_blocks)
+    if labels.size < 2:
+        raise DataError(f"{path}: need at least 2 instances")
+    features = np.concatenate(feat_blocks)
+    del feat_blocks
+    return Dataset(features, labels, feature_names, tuple(ids))
+
+
+def _numbered_rows(fh, delimiter: str):
+    """Yield (physical line number, cells) for each non-blank row."""
+    if delimiter == " ":
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.split()
+            if cells:
+                yield lineno, cells
+        return
+    reader = csv.reader(fh, delimiter=delimiter)
+    start = 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1  # a quoted field may span lines
+
+
+def _parse_block(block, arity: int, class_idx: int, ids: dict[str, int]):
+    """(features, label ids) of a block of numbered rows, or None when a row
+    has the wrong arity or a feature cell is non-numeric or non-finite."""
+    rows = [row for _, row in block]
+    if any(len(row) != arity for row in rows):
+        return None
+    cells = list(chain.from_iterable(rows))
+    tokens = cells[class_idx::arity]
+    del cells[class_idx::arity]
+    try:
+        feats = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(feats).all():
+        return None
+    labels = np.fromiter(
+        (ids.setdefault(t, len(ids)) for t in map(str.strip, tokens)),
+        dtype=np.int64, count=len(tokens),
+    )
+    return feats.reshape(len(rows), arity - 1), labels
+
+
+def _first_bad_cell(path: Path, block, header: list[str], class_idx: int) -> DataError:
+    """The error for the first bad row or cell of a block, in file order."""
+    arity = len(header)
+    for lineno, row in block:
         if len(row) != arity:
-            raise DataError(f"{path}:{lineno}: expected {arity} cells, got {len(row)}")
-        vals = []
+            return DataError(f"{path}:{lineno}: expected {arity} cells, got {len(row)}")
         for j, cell in enumerate(row):
             if j == class_idx:
                 continue
             try:
                 v = float(cell)
             except ValueError:
-                raise DataError(
+                return DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {header[j]!r}"
-                ) from None
+                )
             if not math.isfinite(v):
-                raise DataError(f"{path}:{lineno}: non-finite value in column {header[j]!r}")
-            vals.append(v)
-        feat_rows.append(vals)
-        label_tokens.append(row[class_idx].strip())
-
-    class_names: list[str] = []
-    ids = {}
-    labels = []
-    for tok in label_tokens:
-        if tok not in ids:
-            ids[tok] = len(class_names)
-            class_names.append(tok)
-        labels.append(ids[tok])
-    if len(class_names) < 2:
-        raise DataError(f"{path}: single-class dataset, classification undefined")
-    if len(feat_rows) < 2:
-        raise DataError(f"{path}: need at least 2 instances")
-    return Dataset(np.array(feat_rows), np.array(labels), feature_names, tuple(class_names))
+                return DataError(f"{path}:{lineno}: non-finite value in column {header[j]!r}")
+    raise AssertionError("block parsed cleanly")
 
 
 def write_csv(d: Dataset, path, delimiter: str = ",") -> None:
@@ -249,9 +302,8 @@ def apply_normalizer(d: Dataset, p: NormalizationParams) -> Dataset:
             f"normalizer fitted on N={p.mins.shape[0]}, dataset has N={d.n_features}"
         )
     span = p.maxs - p.mins
-    out = np.empty_like(d.features)
     const = span == 0
+    out = np.subtract(d.features, p.mins)
+    np.divide(out, span, out=out, where=~const)
     out[:, const] = 0.5
-    nc = ~const
-    out[:, nc] = (d.features[:, nc] - p.mins[nc]) / span[nc]
     return Dataset(out, d.labels, d.feature_names, d.class_names)

@@ -142,12 +142,26 @@ def classify(model: LVQModel, x) -> int:
     return int(model.classes[int(np.argmin(d2))])
 
 
+# Elements of the (rows, P, N) difference temporary in one classify_batch block.
+BLOCK_CELLS = 1 << 16
+
+
 def classify_batch(model: LVQModel, features: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-prototype classification of many rows."""
+    """Vectorized nearest-prototype classification of many rows.
+
+    Rows go in blocks of about ``BLOCK_CELLS`` difference elements; each row's
+    squared distances are reduced over N exactly as in one whole-array pass.
+    """
     if features.shape[1] != model.n_features:
         raise LVQError("feature arity mismatch")
-    d2 = ((features[:, None, :] - model.codebook[None, :, :]) ** 2).sum(axis=2)
-    return model.classes[np.argmin(d2, axis=1)]
+    book = model.codebook[None, :, :]
+    step = max(1, BLOCK_CELLS // model.codebook.size)
+    out = np.empty(features.shape[0], dtype=model.classes.dtype)
+    for start in range(0, features.shape[0], step):
+        x = features[start:start + step]
+        d2 = ((x[:, None, :] - book) ** 2).sum(axis=2)
+        out[start:start + step] = model.classes[np.argmin(d2, axis=1)]
+    return out
 
 
 @dataclass

@@ -1,11 +1,15 @@
 """Independent brute-force reference implementations, pure-python loops only.
 
 These deliberately avoid numpy vector paths so they cannot share a bug with
-the library code they check.
+the library code they check. The one exception is
+``classify_batch_unblocked``: the blocked ``lvq.classify_batch`` must equal
+the whole-array numpy formula bit for bit, so that formula is the reference.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def corr_oracle(x, y):
@@ -94,3 +98,10 @@ def exhaustive_search(d):
         return merit_oracle(k, sum(r_cf[j] for j in subset) / k, ff)
 
     return exhaustive_best_merit(d.n_features, merit)
+
+
+def classify_batch_unblocked(codebook, classes, features):
+    """Nearest-prototype classes from one (M, P, N) difference array; ties go
+    to the lowest prototype index."""
+    d2 = ((features[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
+    return classes[np.argmin(d2, axis=1)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_dataset
+from ifecf import bench
 from ifecf.bench import (
     BenchError,
     SweepConfig,
@@ -84,6 +85,28 @@ class TestRunSweep:
         report = run_sweep(d, cfg)
         reduced = [r for r in report.records if r.variant == "reduced"]
         assert reduced and all(r.selection["kept_count"] < 3 for r in reduced)
+
+    def test_whole_count_reuses_target_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        d = random_dataset(rng, m=70, n=4)
+        calls = []
+        original = bench.evaluate
+
+        def counting(model, data):
+            calls.append(data.n_instances)
+            return original(model, data)
+
+        monkeypatch.setattr(bench, "evaluate", counting)
+        efficiency = {}
+        for target, per_cell in (("test", 3), ("train", 3), ("whole", 4)):
+            calls.clear()
+            cfg = small_sweep(fractions=(0.6,), alphas=(0.2,), repeats=2, eval_target=target)
+            (rec,) = run_sweep(d, cfg).records
+            assert len(calls) == per_cell
+            efficiency[target] = rec.paper_efficiency
+            if target == "whole":
+                assert rec.paper_efficiency == paper_efficiency(rec.correct, 70 - 42)
+        assert efficiency["test"] == efficiency["train"] == efficiency["whole"]
 
 
 class TestPaperEfficiency:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ifecf import __version__
+from ifecf import __version__, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv, write_csv
 from oracles import exhaustive_search
@@ -95,6 +95,24 @@ class TestTrainClassify:
         assert main(["classify", str(model_path), str(small_csv)]) == 0
         out = capsys.readouterr().out
         assert len([l for l in out.splitlines() if "\t" in l]) == 50
+
+    def test_classify_scores_one_pass(self, small_csv, tmp_path, capsys, monkeypatch):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        calls = []
+        original = lvq.classify_batch
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(lvq, "classify_batch", counting)
+        capsys.readouterr()
+        assert main(["classify", str(model_path), str(small_csv)]) == 0
+        assert len(calls) == 1
+        res = lvq.evaluate(lvq.LVQModel.load(model_path), load_csv(small_csv))
+        err = capsys.readouterr().err
+        assert f"accuracy: {res.correct}/50 = {100 * res.accuracy:.2f}%" in err
 
 
 class TestBench:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from ifecf import data
 from ifecf.data import (
     DataError,
     Dataset,
@@ -94,6 +97,105 @@ class TestLoadCsv:
         assert np.array_equal(loaded.labels, d.labels)
 
 
+def _block_rows(arity):
+    return data.BLOCK_CELLS // arity
+
+
+class TestLoadCsvLineNumbers:
+    def test_blank_line_before_bad_row(self, tmp_path):
+        p = _write(tmp_path, "a,b,cls\n1,2,x\n\n3,4,y\n5,oops,x\n")
+        with pytest.raises(DataError, match=r"d\.csv:5: non-numeric value 'oops' in column 'b'"):
+            load_csv(p)
+
+    def test_blank_line_before_ragged_row(self, tmp_path):
+        p = _write(tmp_path, "a,b,cls\n\n1,2,x\n\n\n3,y\n")
+        with pytest.raises(DataError, match=r"d\.csv:6: expected 3 cells, got 2"):
+            load_csv(p)
+
+    def test_space_format_counts_blank_lines(self, tmp_path):
+        p = _write(tmp_path, "a b cls\n  \n1 2 x\n\n3 inf y\n")
+        with pytest.raises(DataError, match=r"d\.csv:5: non-finite value in column 'b'"):
+            load_csv(p, delimiter=" ")
+
+    def test_multiline_quoted_row_reports_its_first_line(self, tmp_path):
+        p = _write(tmp_path, 'a,b,cls\n1,2,"x\ny"\n3,oops,"p\nq"\n')
+        with pytest.raises(DataError, match=r"d\.csv:4: non-numeric"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("bad", ["1,oops,x", "1,x", "1,nan,x"])
+    def test_bad_row_in_later_block(self, tmp_path, bad):
+        rows = ["1,2,x", "3,4,y"] * 2 * _block_rows(3)
+        bad_at = 2 * _block_rows(3) + 5  # third block
+        rows[bad_at] = bad
+        rows.insert(10, "")  # one blank line in the first block
+        p = _write(tmp_path, "a,b,cls\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"d\.csv:{bad_at + 3}: "):
+            load_csv(p)
+
+    def test_first_error_in_file_order(self, tmp_path):
+        rows = ["1,2,x", "3,4,y"] * 20
+        rows[7] = "1,2"
+        rows[3] = "1,oops,x"
+        p = _write(tmp_path, "a,b,cls\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"d\.csv:5: non-numeric"):
+            load_csv(p)
+
+
+class TestLoadCsvBlocks:
+    @pytest.mark.parametrize("delimiter", [",", " "])
+    def test_round_trip_over_blocks_bit_exact(self, tmp_path, delimiter):
+        rng = np.random.default_rng(12)
+        m = 2 * _block_rows(6) + 17
+        x = rng.normal(size=(m, 5)) * 10.0 ** rng.integers(-8, 9, size=(m, 5))
+        d = make_dataset(x, rng.integers(0, 3, m))
+        p = tmp_path / "rt.csv"
+        write_csv(d, p, delimiter=delimiter)
+        loaded = load_csv(p, delimiter=delimiter)
+        assert np.array_equal(loaded.features, d.features)
+        names = np.array(d.class_names)
+        assert np.array_equal(np.array(loaded.class_names)[loaded.labels], names[d.labels])
+
+    def test_quoted_fields_and_blank_lines(self, tmp_path):
+        rng = np.random.default_rng(13)
+        m = 3 * _block_rows(3) + 2
+        x = rng.normal(size=(m, 2))
+        names = ["north, east", "south"]
+        labels = [i % 2 for i in range(m)]
+        lines = ['a,"b",class']
+        for i in range(m):
+            lines.append(f'{float(x[i, 0])!r},"{float(x[i, 1])!r}","{names[labels[i]]}"')
+            if i % 1000 == 0:
+                lines.append("")
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        loaded = load_csv(p)
+        assert loaded.feature_names == ("a", "b")
+        assert loaded.class_names == tuple(names)
+        assert np.array_equal(loaded.features, x)
+        assert loaded.labels.tolist() == labels
+
+    def test_class_column_in_the_middle(self, tmp_path):
+        rows = [f"{i},{'xy'[i % 2]},{-i}" for i in range(_block_rows(3) + 3)]
+        p = _write(tmp_path, "a,cls,b\n" + "\n".join(rows) + "\n")
+        d = load_csv(p, class_column="cls")
+        assert d.feature_names == ("a", "b")
+        assert d.features[-1].tolist() == [len(rows) - 1, 1 - len(rows)]
+        assert d.labels[:4].tolist() == [0, 1, 0, 1]
+
+    def test_peak_memory_near_one_copy(self, tmp_path):
+        rng = np.random.default_rng(14)
+        d = make_dataset(rng.normal(size=(20000, 10)), rng.integers(0, 2, 20000))
+        p = tmp_path / "big.csv"
+        write_csv(d, p)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_instances == 20000
+        assert peak <= 3 * loaded.features.nbytes
+
+
 class TestDataset:
     def test_immutable(self):
         d = make_dataset([[1.0], [2.0]], [0, 1])
@@ -174,6 +276,12 @@ class TestNormalizer:
         d = make_dataset([[3.0], [3.0], [3.0]], [0, 1, 0])
         nd = apply_normalizer(d, fit_normalizer(d))
         assert nd.features[:, 0].tolist() == [0.5, 0.5, 0.5]
+
+    def test_constant_feature_on_other_rows(self):
+        train = make_dataset([[1.0, 3.0], [5.0, 3.0]], [0, 1])
+        test = make_dataset([[2.0, 7.0], [9.0, -1.0]], [0, 1])
+        nt = apply_normalizer(test, fit_normalizer(train))
+        assert nt.features.tolist() == [[0.25, 0.5], [2.0, 0.5]]
 
     def test_test_values_not_clipped(self):
         train = make_dataset([[2.0], [6.0]], [0, 1])

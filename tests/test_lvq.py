@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from ifecf import lvq
 from ifecf.data import SplitSpec, split
 from ifecf.lvq import (
     LVQConfig,
@@ -13,6 +14,7 @@ from ifecf.lvq import (
     init_codebook,
     train,
 )
+from oracles import classify_batch_unblocked
 
 
 def two_gaussians(rng, m=100, sigma=0.1, sep=1.0):
@@ -205,3 +207,30 @@ class TestSerialization:
         batch = classify_batch(model, d.features)
         scalar = [classify(model, row) for row in d.features]
         assert batch.tolist() == scalar
+
+
+class TestClassifyBatchBlocks:
+    def test_matches_unblocked_formula(self):
+        rng = np.random.default_rng(21)
+        codebook = rng.normal(size=(4, 7)) + 10.0
+        classes = np.array([2, 0, 1, 0])
+        model = LVQModel(codebook, classes, LVQConfig())
+        step = lvq.BLOCK_CELLS // codebook.size
+        x = rng.normal(size=(3 * step + 11, 7)) + 10.0
+        # rows at squared distance exactly 1 from prototypes 1 and 2 (all
+        # values dyadic), at and around block edges
+        codebook[1] = 0.25 * np.arange(7)
+        codebook[2] = codebook[1]
+        codebook[2, 0] += 2.0
+        tie = codebook[1].copy()
+        tie[0] += 1.0
+        for i in (0, step - 1, step, 2 * step + 5, x.shape[0] - 1):
+            x[i] = tie
+        out = classify_batch(model, x)
+        assert out.dtype == classes.dtype and out.shape == (x.shape[0],)
+        assert np.array_equal(out, classify_batch_unblocked(codebook, classes, x))
+        assert out[step] == classes[1]  # the tie goes to the lower index
+
+    def test_empty_input(self):
+        model = LVQModel(np.zeros((2, 3)), np.array([0, 1]), LVQConfig())
+        assert classify_batch(model, np.zeros((0, 3))).shape == (0,)
