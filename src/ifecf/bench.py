@@ -7,7 +7,7 @@ import hashlib
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,10 @@ from .select import SelectionConfig, SelectionError, apply_selection, ife_cf
 
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# eval_target -> (partitions scored for accuracy, partitions evaluated once
+# more only for paper_efficiency); 0 is the train partition, 1 the test one.
+_EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1), ())}
 
 
 class BenchError(ValueError):
@@ -34,7 +38,6 @@ class SweepConfig:
     eval_target: str = "test"  # test | train | whole
     epochs: int = 20
     normalize: bool = True
-    stratified: bool = True
 
     def __post_init__(self):
         if not all(0.0 < f < 1.0 for f in self.fractions):
@@ -43,7 +46,7 @@ class SweepConfig:
             raise BenchError("alphas must lie in (0,1)")
         if self.repeats < 1:
             raise BenchError("repeats must be >= 1")
-        if self.eval_target not in ("test", "train", "whole"):
+        if self.eval_target not in _EVAL_PARTITIONS:
             raise BenchError(f"unknown eval_target {self.eval_target!r}")
 
 
@@ -63,20 +66,7 @@ class CellRecord:
     selection: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "alpha": self.alpha,
-            "variant": self.variant,
-            "accuracy": self.accuracy,
-            "paper_efficiency": self.paper_efficiency,
-            "correct": self.correct,
-            "total": self.total,
-            "train_ms": self.train_ms,
-            "classify_ms": self.classify_ms,
-            "train_ms_repeats": self.train_ms_repeats,
-            "classify_ms_repeats": self.classify_ms_repeats,
-            "selection": self.selection,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -140,70 +130,28 @@ def paper_efficiency(correct_whole: int, test_total: int) -> float:
     return 100.0 * correct_whole / test_total
 
 
-def _median_ms(samples: list[float]) -> float:
-    return statistics.median(samples)
-
-
-def _run_cell(d: Dataset, cfg: SweepConfig, fraction: float, alpha: float,
-              fi: int, ai: int, variant: str) -> CellRecord:
-    seed = cell_seed(cfg.seed, fi, ai)
-    try:
-        train_d, test_d = split(d, SplitSpec(fraction, seed=seed, stratified=cfg.stratified))
-    except ValueError as exc:
-        raise BenchError(f"cell ({fraction}, {alpha}, {variant}): {exc}") from exc
-
-    selection_summary = None
-    if variant == "reduced":
-        assert cfg.selection is not None
-        try:
-            sel = ife_cf(train_d, cfg.selection)
-        except SelectionError as exc:
-            raise BenchError(
-                f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}"
-            ) from exc
-        train_d = apply_selection(train_d, sel)
-        test_d = apply_selection(test_d, sel)
-        selection_summary = {
-            "kept_count": len(sel.kept),
-            "kept": sel.kept,
-            "eliminated_count": len(sel.eliminated),
-        }
-
-    if cfg.normalize:
-        norm = fit_normalizer(train_d)
-        train_d = apply_normalizer(train_d, norm)
-        test_d = apply_normalizer(test_d, norm)
-
+def _run_cell(parts: tuple[Dataset, Dataset], cfg: SweepConfig, fraction: float,
+              alpha: float, seed: int, variant: str,
+              selection: dict | None) -> CellRecord:
+    train_d, test_d = parts
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
     model0 = init_codebook(train_d, lvq_cfg)
 
     train_times = []
-    model = None
     for _ in range(cfg.repeats):
         t0 = time.perf_counter()
         model = lvq_train(model0, train_d, lvq_cfg)
         train_times.append((time.perf_counter() - t0) * 1e3)
-    assert model is not None
 
-    target = {"test": test_d, "train": train_d}.get(cfg.eval_target)
+    scored, extra = _EVAL_PARTITIONS[cfg.eval_target]
     classify_times = []
-    res = None
     for _ in range(cfg.repeats):
         t0 = time.perf_counter()
-        if target is not None:
-            res = evaluate(model, target)
-        else:  # whole dataset
-            res_tr = evaluate(model, train_d)
-            res_te = evaluate(model, test_d)
+        results = [evaluate(model, parts[k]) for k in scored]
         classify_times.append((time.perf_counter() - t0) * 1e3)
-    if target is None:
-        correct = res_tr.correct + res_te.correct
-        total = res_tr.total + res_te.total
-        whole_correct = correct
-    else:
-        correct, total = res.correct, res.total
-        other = train_d if target is test_d else test_d
-        whole_correct = correct + evaluate(model, other).correct
+    correct = sum(r.correct for r in results)
+    total = sum(r.total for r in results)
+    whole_correct = correct + sum(evaluate(model, parts[k]).correct for k in extra)
     return CellRecord(
         fraction=fraction,
         alpha=alpha,
@@ -212,11 +160,11 @@ def _run_cell(d: Dataset, cfg: SweepConfig, fraction: float, alpha: float,
         paper_efficiency=paper_efficiency(whole_correct, test_d.n_instances),
         correct=correct,
         total=total,
-        train_ms=_median_ms(train_times),
-        classify_ms=_median_ms(classify_times),
+        train_ms=statistics.median(train_times),
+        classify_ms=statistics.median(classify_times),
         train_ms_repeats=train_times,
         classify_ms_repeats=classify_times,
-        selection=selection_summary,
+        selection=selection,
     )
 
 
@@ -224,15 +172,42 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     """Evaluate every (fraction, alpha) cell for the original dataset and,
     when a selection config is present, the reduced variant.
 
+    Both variants of a cell share one stratified split and one normalizer
+    fitted on its train partition. Selection runs on the raw train partition;
+    min-max scaling is per column, so projecting the normalized partitions
+    equals normalizing the projected ones.
+
     Accuracy fields are a pure function of (dataset, config); timing fields
     come from a monotonic clock and vary run to run.
     """
-    variants = ["original"] + (["reduced"] if cfg.selection is not None else [])
     records = []
     for fi, fraction in enumerate(cfg.fractions):
         for ai, alpha in enumerate(cfg.alphas):
-            for variant in variants:
-                records.append(_run_cell(d, cfg, fraction, alpha, fi, ai, variant))
+            seed = cell_seed(cfg.seed, fi, ai)
+            try:
+                parts = split(d, SplitSpec(fraction, seed=seed, stratified=True))
+            except ValueError as exc:
+                raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
+            sel = None
+            if cfg.selection is not None:
+                try:
+                    sel = ife_cf(parts[0], cfg.selection)
+                except SelectionError as exc:
+                    raise BenchError(
+                        f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}"
+                    ) from exc
+            if cfg.normalize:
+                norm = fit_normalizer(parts[0])
+                parts = tuple(apply_normalizer(p, norm) for p in parts)
+            records.append(_run_cell(parts, cfg, fraction, alpha, seed, "original", None))
+            if sel is not None:
+                summary = {
+                    "kept_count": len(sel.kept),
+                    "kept": sel.kept,
+                    "eliminated_count": len(sel.eliminated),
+                }
+                parts = tuple(apply_selection(p, sel) for p in parts)
+                records.append(_run_cell(parts, cfg, fraction, alpha, seed, "reduced", summary))
     env = f"{platform.platform()} python {platform.python_version()} numpy {np.__version__}"
     return SweepReport(cfg, records, environment=env)
 

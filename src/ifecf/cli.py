@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, lvq  # lvq.classify_batch is looked up per call
 from .bench import BenchError, SweepConfig, run_sweep
 from .data import DataError, load_csv
@@ -123,14 +125,14 @@ def cmd_select(args) -> int:
         result = cfs_search(d, cfg)
     else:
         weights = relief(d, cfg)
-        kept = [j for j, w in enumerate(weights) if w >= args.relief_threshold]
+        kept, eliminated = [], []
+        for j, w in enumerate(weights.tolist()):
+            if w >= args.relief_threshold:
+                kept.append(j)
+            else:
+                eliminated.append((j, "below-relief-threshold", w))
         if not kept:
             raise SelectionError("relief threshold eliminates every feature")
-        eliminated = [
-            (j, "below-relief-threshold", float(weights[j]))
-            for j in range(d.n_features)
-            if j not in kept
-        ]
         result = SelectionResult(kept=kept, eliminated=eliminated)
         print("relief weights:", " ".join(f"{w:.4f}" for w in weights))
 
@@ -164,10 +166,13 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = LVQModel.load(args.model)
     d = _load(args)
-    preds = lvq.classify_batch(model, d.features)
+    preds = lvq.classify_batch(model, d.features)  # ids into model.class_names
     for i, pred in enumerate(preds):
-        print(f"{i}\t{d.class_names[pred]}")
-    correct = int((preds == d.labels).sum())
+        print(f"{i}\t{model.class_names[pred]}")
+    # the file's class ids in the model's table; a label the model lacks gets -1
+    model_ids = {c: i for i, c in enumerate(model.class_names)}
+    to_model = np.array([model_ids.get(c, -1) for c in d.class_names])
+    correct = int((preds == to_model[d.labels]).sum())
     print(f"accuracy: {correct}/{d.n_instances} = {100 * (correct / d.n_instances):.2f}%",
           file=sys.stderr)
     return EXIT_OK
@@ -177,9 +182,7 @@ def cmd_bench(args) -> int:
     d = _load(args)
     selection = None
     if args.select:
-        selection = SelectionConfig(
-            delta=args.delta, tau_c=args.tau_c, tau_f=args.tau_f, seed=args.seed
-        )
+        selection = SelectionConfig(delta=args.delta, tau_c=args.tau_c, tau_f=args.tau_f)
     cfg = SweepConfig(
         fractions=tuple(args.fractions),
         alphas=tuple(args.alphas),
@@ -226,13 +229,10 @@ def _add_dataset_args(p):
     p.add_argument("--format", choices=["csv", "space"], default="csv")
 
 
-def _add_selection_args(p):
+def _add_filter_args(p):
     p.add_argument("--delta", type=float, default=0.05, help="dispersion threshold")
     p.add_argument("--tau-c", type=float, default=0.1, help="class-correlation floor")
     p.add_argument("--tau-f", type=float, default=0.9, help="redundancy ceiling")
-    p.add_argument("--samples", type=int, default=100, help="relief sample count")
-    p.add_argument("--patience", type=int, default=5, help="best-first search patience")
-    p.add_argument("--relief-threshold", type=float, default=0.0)
 
 
 def build_parser() -> _Parser:
@@ -248,7 +248,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="run a feature-selection method")
     _add_dataset_args(p)
     p.add_argument("--method", choices=["ifecf", "cfs", "relief"], required=True)
-    _add_selection_args(p)
+    _add_filter_args(p)
+    p.add_argument("--samples", type=int, default=100, help="relief sample count")
+    p.add_argument("--patience", type=int, default=5, help="best-first search patience")
+    p.add_argument("--relief-threshold", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_select)
@@ -278,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval-target", choices=["test", "train", "whole"], default="test")
     p.add_argument("--select", action="store_true",
                    help="also run the reduced (filtered) variant")
-    _add_selection_args(p)
+    _add_filter_args(p)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--no-plot", action="store_true")
     p.add_argument("--out", required=True, help="output directory")

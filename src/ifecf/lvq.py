@@ -38,6 +38,7 @@ class LVQModel:
     classes: np.ndarray  # (P,) class id per prototype
     config: LVQConfig
     epochs_run: int = 0
+    class_names: tuple[str, ...] = ()  # class id -> label token of the training set
 
     @property
     def n_features(self) -> int:
@@ -47,6 +48,7 @@ class LVQModel:
         return {
             "codebook": self.codebook.tolist(),
             "classes": self.classes.tolist(),
+            "class_names": list(self.class_names),
             "config": {
                 "alpha": self.config.alpha,
                 "epochs": self.config.epochs,
@@ -61,13 +63,31 @@ class LVQModel:
 
     @classmethod
     def load(cls, path) -> "LVQModel":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            codebook=np.asarray(doc["codebook"], dtype=np.float64),
-            classes=np.asarray(doc["classes"], dtype=np.int64),
-            config=LVQConfig(**doc["config"]),
-            epochs_run=doc["epochs_run"],
-        )
+        """Read a model written by ``save``; a malformed file raises LVQError."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            codebook = np.asarray(doc["codebook"])
+            classes = np.asarray(doc["classes"])
+            names = doc["class_names"]
+            config = LVQConfig(**doc["config"])
+            epochs_run = doc["epochs_run"]
+        except KeyError as exc:
+            raise LVQError(f"{path}: model file lacks {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise LVQError(f"{path}: malformed model file: {exc}") from exc
+        if codebook.dtype.kind not in "iuf" or codebook.ndim != 2 or codebook.size == 0:
+            raise LVQError(f"{path}: codebook is not a non-empty (P, N) number array")
+        if classes.dtype.kind != "i" or classes.shape != codebook.shape[:1]:
+            raise LVQError(f"{path}: classes must be {codebook.shape[0]} integer ids")
+        if not np.all(np.isfinite(codebook)):
+            raise LVQError(f"{path}: non-finite codebook value")
+        if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+                or len(set(names)) != len(names)):
+            raise LVQError(f"{path}: class_names must be a list of distinct strings")
+        if classes.min() < 0 or classes.max() >= len(names):
+            raise LVQError(f"{path}: class id outside class_names")
+        return cls(codebook.astype(np.float64), classes.astype(np.int64), config,
+                   epochs_run, tuple(names))
 
 
 def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
@@ -93,7 +113,8 @@ def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
             for r in chosen:
                 protos.append(train.features[r].copy())
                 classes.append(c)
-    return LVQModel(np.array(protos), np.array(classes, dtype=np.int64), cfg)
+    return LVQModel(np.array(protos), np.array(classes, dtype=np.int64), cfg,
+                    class_names=train.class_names)
 
 
 def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None,
@@ -127,7 +148,8 @@ def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None,
                 book[win] -= step
         if not np.all(np.isfinite(book)):
             raise LVQError(f"non-finite prototype after epoch {epoch + 1}")
-    return LVQModel(book, model.classes.copy(), cfg, epochs_run=model.epochs_run + cfg.epochs)
+    return LVQModel(book, model.classes.copy(), cfg,
+                    epochs_run=model.epochs_run + cfg.epochs, class_names=model.class_names)
 
 
 def classify(model: LVQModel, x) -> int:
@@ -138,8 +160,7 @@ def classify(model: LVQModel, x) -> int:
         raise LVQError(f"expected vector of length {model.n_features}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise LVQError("non-finite input")
-    d2 = ((model.codebook - x) ** 2).sum(axis=1)
-    return int(model.classes[int(np.argmin(d2))])
+    return int(classify_batch(model, x[None])[0])
 
 
 # Elements of the (rows, P, N) difference temporary in one classify_batch block.

@@ -224,7 +224,7 @@ def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
     picks = rng.choice(m, size=n, replace=False)
     w = np.zeros(nfeat)
     for i in picks:
-        diffs = np.abs(x - x[i])
+        diffs = x - x[i]
         dists = np.sqrt((diffs**2).sum(axis=1))
         dists[i] = np.inf
         same = train.labels == train.labels[i]

@@ -105,3 +105,27 @@ def classify_batch_unblocked(codebook, classes, features):
     to the lowest prototype index."""
     d2 = ((features[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
     return classes[np.argmin(d2, axis=1)]
+
+
+def relief_oracle(rows, labels, picks):
+    """Relief weights over range-scaled features: for each pick, the nearest
+    same-class row (hit) and nearest other-class row (miss) by Euclidean
+    distance, then w_j += ((miss_j - pick_j)^2 - (hit_j - pick_j)^2) / len(picks).
+    Assumes no distance ties."""
+    m, nf = len(rows), len(rows[0])
+    spans = []
+    for j in range(nf):
+        col = [r[j] for r in rows]
+        spans.append(max(col) - min(col) or 1.0)
+    x = [[r[j] / spans[j] for j in range(nf)] for r in rows]
+    w = [0.0] * nf
+    for i in picks:
+        def dist(k):
+            return math.sqrt(sum((x[k][j] - x[i][j]) ** 2 for j in range(nf)))
+
+        others = [k for k in range(m) if k != i]
+        hit = min((k for k in others if labels[k] == labels[i]), key=dist)
+        miss = min((k for k in others if labels[k] != labels[i]), key=dist)
+        for j in range(nf):
+            w[j] += ((x[miss][j] - x[i][j]) ** 2 - (x[hit][j] - x[i][j]) ** 2) / len(picks)
+    return w

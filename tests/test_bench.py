@@ -108,6 +108,39 @@ class TestRunSweep:
                 assert rec.paper_efficiency == paper_efficiency(rec.correct, 70 - 42)
         assert efficiency["test"] == efficiency["train"] == efficiency["whole"]
 
+    def test_one_split_per_cell(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        d = random_dataset(rng, m=60, n=4)
+        calls = []
+        original = bench.split
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(bench, "split", counting)
+        report = run_sweep(d, small_sweep(selection=SelectionConfig(tau_c=0.0)))
+        assert len(report.records) == 8
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_reduced_equals_original_on_projected_data(self, normalize):
+        rng = np.random.default_rng(10)
+        labels = rng.integers(0, 3, 90)
+        x = np.column_stack([labels + 0.5 * rng.normal(size=90) + 3,
+                             rng.normal(size=90) + 5,
+                             50 + 0.001 * rng.normal(size=90),  # fails the dispersion pass
+                             2 * labels + rng.normal(size=90) + 10])
+        d = make_dataset(x, labels)
+        selection = SelectionConfig(delta=0.01, tau_c=0.0, tau_f=1.0)
+        full = run_sweep(d, small_sweep(selection=selection, normalize=normalize))
+        reduced = [r for r in full.records if r.variant == "reduced"]
+        assert all(r.selection["kept"] == [0, 1, 3] for r in reduced)
+        projected = run_sweep(d.project([0, 1, 3]), small_sweep(normalize=normalize))
+        keys = ("fraction", "alpha", "accuracy", "paper_efficiency", "correct", "total")
+        assert [[getattr(r, k) for k in keys] for r in reduced] == \
+            [[getattr(r, k) for k in keys] for r in projected.records]
+
 
 class TestPaperEfficiency:
     def test_table1_50_50_reading(self):

@@ -114,6 +114,51 @@ class TestTrainClassify:
         err = capsys.readouterr().err
         assert f"accuracy: {res.correct}/50 = {100 * res.accuracy:.2f}%" in err
 
+    def _classify(self, tmp_path, capsys, train_text, test_text):
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_csv.write_text(train_text)
+        test_csv.write_text(test_text)
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(train_csv), "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        code = main(["classify", str(model_path), str(test_csv)])
+        out, err = capsys.readouterr()
+        return code, [l.split("\t")[1] for l in out.splitlines()], err
+
+    def test_predictions_use_model_class_names(self, tmp_path, capsys):
+        # the file to classify meets its classes in the other order
+        code, preds, err = self._classify(
+            tmp_path, capsys, "x,class\n0,neg\n0.1,neg\n1,pos\n1.1,pos\n",
+            "x,class\n1.05,pos\n0.05,neg\n")
+        assert code == 0
+        assert preds == ["pos", "neg"]
+        assert "accuracy: 2/2 = 100.00%" in err
+
+    def test_label_unknown_to_model_counts_wrong(self, tmp_path, capsys):
+        # a 3-class model on a 2-class file, one of whose labels it never saw
+        code, preds, err = self._classify(
+            tmp_path, capsys, "x,class\n0,a\n0.1,a\n1,b\n1.1,b\n2,c\n2.1,c\n",
+            "x,class\n2.05,c\n0.05,d\n2.1,c\n")
+        assert code == 0
+        assert preds == ["c", "a", "c"]
+        assert "accuracy: 2/3 = 66.67%" in err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"codebook": [[0.0]]}'])
+    def test_malformed_model_exit_2(self, small_csv, tmp_path, capsys, text):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        assert main(["classify", str(model_path), str(small_csv)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_model_without_class_names_exit_2(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        del doc["class_names"]
+        model_path.write_text(json.dumps(doc))
+        assert main(["classify", str(model_path), str(small_csv)]) == 2
+        assert "class_names" in capsys.readouterr().err
+
 
 class TestBench:
     def _run(self, csv_path, out_dir, *extra):
@@ -176,6 +221,13 @@ class TestBench:
         assert "threads" not in manifest
         assert manifest["dataset_sha256"] == hashlib.sha256(small_csv.read_bytes()).hexdigest()
         assert manifest["version"] == __version__
+        assert not {"samples", "patience", "relief_threshold"} & set(manifest["config"])
+
+    @pytest.mark.parametrize("flag", ["--samples", "--patience", "--relief-threshold"])
+    def test_selection_search_flags_are_usage_errors(self, small_csv, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:  # bench runs only the three-pass filter
+            self._run(small_csv, tmp_path / "run", "--select", flag, "5")
+        assert exc.value.code == 1
 
 
 class TestPlot:

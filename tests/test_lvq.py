@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,10 @@ class TestClassify:
         with pytest.raises(LVQError, match="non-finite"):
             classify(self._model(), [np.nan, 0.0])
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(LVQError, match="length 2"):
+            classify(self._model(), [1.0, 1.0, 1.0])
+
     def test_separable_gaussians_accuracy(self):
         good = 0
         for seed in range(100):
@@ -196,8 +202,50 @@ class TestSerialization:
         loaded = LVQModel.load(p)
         assert np.array_equal(loaded.codebook, model.codebook)
         assert loaded.config == model.config
+        assert loaded.class_names == d.class_names == model.class_names
         x = rng.normal(size=2)
         assert classify(loaded, x) == classify(model, x)
+
+    def _saved_doc(self):
+        model = LVQModel(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]),
+                         LVQConfig(), class_names=("neg", "pos"))
+        return model.to_dict()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("class_names", None, "lacks 'class_names'"),  # a model saved before names
+            ("codebook", None, "lacks 'codebook'"),
+            ("classes", [0], "classes must be 2"),
+            ("classes", [0.0, 1.0], "classes must be 2"),
+            ("codebook", [[0.0, 1.0], [2.0]], "malformed"),
+            ("codebook", [[0.0, 1.0], ["a", "b"]], "codebook"),
+            ("codebook", [[0.0, 1.0], [float("nan"), 1.0]], "non-finite"),
+            ("codebook", [[0.0, float("inf")], [1.0, 1.0]], "non-finite"),
+            ("classes", [0, 2], "outside class_names"),
+            ("classes", [-1, 1], "outside class_names"),
+            ("class_names", ["a", "a"], "distinct strings"),
+            ("config", {"alpha": 2.0}, "malformed"),
+            ("config", {"rate": 0.1}, "malformed"),
+        ],
+    )
+    def test_load_rejects_malformed(self, tmp_path, key, value, message):
+        doc = self._saved_doc()
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(LVQError, match=message):
+            LVQModel.load(p)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "null"])
+    def test_load_rejects_non_model_json(self, tmp_path, text):
+        p = tmp_path / "model.json"
+        p.write_text(text)
+        with pytest.raises(LVQError, match="malformed"):
+            LVQModel.load(p)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(9)

@@ -15,7 +15,7 @@ from ifecf.select import (
     merit_value,
     relief,
 )
-from oracles import dispersion_oracle, exhaustive_search, merit_oracle
+from oracles import dispersion_oracle, exhaustive_search, merit_oracle, relief_oracle
 
 
 def open_config(**kw):
@@ -241,6 +241,17 @@ class TestRelief:
         d = random_dataset(rng, m=50, n=6)
         w = relief(d, SelectionConfig(relief_samples=50))
         assert np.all(w >= -1.0) and np.all(w <= 1.0)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("samples", [12, 40])
+    def test_weights_match_oracle(self, classes, samples):
+        rng = np.random.default_rng(30 + classes)
+        d = random_dataset(rng, m=40, n=5, classes=classes)
+        cfg = SelectionConfig(relief_samples=samples, seed=4)
+        # relief draws its picks from the seeded generator this way
+        picks = np.random.default_rng(4).choice(40, size=samples, replace=False)
+        want = relief_oracle(d.features.tolist(), d.labels.tolist(), picks.tolist())
+        assert np.allclose(relief(d, cfg), want, rtol=0, atol=1e-12)
 
 
 class TestApplySelection:
