@@ -46,6 +46,8 @@ class SweepConfig:
             raise BenchError("alphas must lie in (0,1)")
         if self.repeats < 1:
             raise BenchError("repeats must be >= 1")
+        if self.epochs < 1:
+            raise BenchError("epochs must be >= 1")
         if self.eval_target not in _EVAL_PARTITIONS:
             raise BenchError(f"unknown eval_target {self.eval_target!r}")
 
@@ -75,13 +77,6 @@ class SweepReport:
     records: list[CellRecord]
     environment: str = ""
 
-    def variant_view(self, variant: str) -> "SweepReport":
-        return SweepReport(
-            self.config,
-            [r for r in self.records if r.variant == variant],
-            self.environment,
-        )
-
     def to_dict(self) -> dict:
         return {
             "fractions": list(self.config.fractions),
@@ -95,21 +90,19 @@ class SweepReport:
 
     def accuracy_table(self, variant: str) -> list[list]:
         """Rows: one per fraction; columns: split label then accuracy per alpha."""
+        # reversed: a grid that repeats a value reads its first record, as before
+        cells = {(r.fraction, r.alpha): r for r in reversed(self.records)
+                 if r.variant == variant}
         rows = []
         for f in self.config.fractions:
-            label = f"{round(f * 100)}-{round((1 - f) * 100)}"
-            row = [label]
+            row = [f"{round(f * 100)}-{round((1 - f) * 100)}"]
             for a in self.config.alphas:
-                cell = self._cell(f, a, variant)
+                cell = cells.get((f, a))
+                if cell is None:
+                    raise BenchError(f"no record for cell ({f}, {a}, {variant})")
                 row.append(f"{cell.accuracy:.2f}")
             rows.append(row)
         return rows
-
-    def _cell(self, fraction, alpha, variant) -> CellRecord:
-        for r in self.records:
-            if r.fraction == fraction and r.alpha == alpha and r.variant == variant:
-                return r
-        raise BenchError(f"no record for cell ({fraction}, {alpha}, {variant})")
 
 
 def cell_seed(master: int, fraction_index: int, alpha_index: int) -> int:
@@ -210,46 +203,6 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
                 records.append(_run_cell(parts, cfg, fraction, alpha, seed, "reduced", summary))
     env = f"{platform.platform()} python {platform.python_version()} numpy {np.__version__}"
     return SweepReport(cfg, records, environment=env)
-
-
-def compare_reports(a: SweepReport, b: SweepReport) -> dict:
-    """Per-cell accuracy and classify-time deltas (b minus a).
-
-    Reports must share grid axes; use ``variant_view`` to compare the
-    original variant against the reduced one.
-    """
-    if (
-        tuple(a.config.fractions) != tuple(b.config.fractions)
-        or tuple(a.config.alphas) != tuple(b.config.alphas)
-    ):
-        raise BenchError("reports have different grid axes")
-    cells = []
-    faster_or_equal = 0
-    for ra in a.records:
-        rb = next(
-            (
-                r
-                for r in b.records
-                if r.fraction == ra.fraction and r.alpha == ra.alpha
-            ),
-            None,
-        )
-        if rb is None:
-            raise BenchError(f"no matching cell for ({ra.fraction}, {ra.alpha})")
-        if rb.classify_ms <= ra.classify_ms:
-            faster_or_equal += 1
-        cells.append(
-            {
-                "fraction": ra.fraction,
-                "alpha": ra.alpha,
-                "accuracy_delta": rb.accuracy - ra.accuracy,
-                "classify_ms_delta": rb.classify_ms - ra.classify_ms,
-            }
-        )
-    return {
-        "cells": cells,
-        "fraction_faster_or_equal": faster_or_equal / len(cells) if cells else 0.0,
-    }
 
 
 def timing_stability(report: SweepReport, flag_ratio: float = 3.0) -> dict:

@@ -37,6 +37,19 @@ EXIT_DATA = 2
 EXIT_EMPTY_SELECTION = 3
 
 
+class _UsageError(Exception):
+    """An option value that a config constructor rejected."""
+
+
+def _config(cls, **values):
+    """Build a config from option values; any value it rejects is a usage
+    error, so commands build their configs before reading the dataset."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -81,44 +94,24 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def cmd_stats(args) -> int:
     d = _load(args)
-    stats = feature_stats(d)
-    rows = []
-    for j, s in enumerate(stats):
-        rows.append(
-            [
-                str(j),
-                d.feature_names[j],
-                f"{s.mean:.4f}",
-                f"{s.std_dev:.4f}",
-                "undef" if s.dispersion is None else f"{s.dispersion:.4f}",
-                f"{s.c_correlation:.4f}",
-            ]
-        )
-    if args.sort == "dispersion":
-        rows.sort(key=lambda r: -1.0 if r[4] == "undef" else -float(r[4]))
+    ranked = list(enumerate(feature_stats(d)))
+    if args.sort == "dispersion":  # descending; undefined (zero-mean) last
+        ranked.sort(key=lambda js: (js[1].dispersion is None, -(js[1].dispersion or 0.0)))
     elif args.sort == "ccorr":
-        rows.sort(key=lambda r: -abs(float(r[5])))
+        ranked.sort(key=lambda js: -abs(js[1].c_correlation))
+    rows = [
+        [str(j), d.feature_names[j], f"{s.mean:.4f}", f"{s.std_dev:.4f}",
+         "undef" if s.dispersion is None else f"{s.dispersion:.4f}", f"{s.c_correlation:.4f}"]
+        for j, s in ranked
+    ]
     _print_table(["idx", "feature", "mean", "std", "dispersion", "c_corr"], rows)
     return EXIT_OK
 
 
-def _selection_config(args) -> SelectionConfig:
-    return SelectionConfig(
-        delta=args.delta,
-        tau_c=args.tau_c,
-        tau_f=args.tau_f,
-        relief_samples=args.samples,
-        bffs_patience=args.patience,
-        seed=args.seed,
-    )
-
-
 def cmd_select(args) -> int:
-    if args.samples < 1 or args.patience < 1:
-        print("error: --samples and --patience must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _config(SelectionConfig, delta=args.delta, tau_c=args.tau_c, tau_f=args.tau_f,
+                  relief_samples=args.samples, bffs_patience=args.patience, seed=args.seed)
     d = _load(args)
-    cfg = _selection_config(args)
     if args.method == "ifecf":
         result = ife_cf(d, cfg)
     elif args.method == "cfs":
@@ -154,9 +147,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _config(LVQConfig, alpha=args.alpha, epochs=args.epochs,
+                  prototypes_per_class=args.prototypes, seed=args.seed)
     d = _load(args)
-    cfg = LVQConfig(alpha=args.alpha, epochs=args.epochs,
-                    prototypes_per_class=args.prototypes, seed=args.seed)
     model = lvq_train(init_codebook(d, cfg), d, cfg)
     model.save(args.out)
     print(f"trained {len(model.classes)} prototypes over {cfg.epochs} epochs -> {args.out}")
@@ -179,11 +172,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    d = _load(args)
     selection = None
     if args.select:
-        selection = SelectionConfig(delta=args.delta, tau_c=args.tau_c, tau_f=args.tau_f)
-    cfg = SweepConfig(
+        selection = _config(SelectionConfig, delta=args.delta, tau_c=args.tau_c,
+                            tau_f=args.tau_f)
+    cfg = _config(
+        SweepConfig,
         fractions=tuple(args.fractions),
         alphas=tuple(args.alphas),
         repeats=args.repeats,
@@ -193,7 +187,7 @@ def cmd_bench(args) -> int:
         epochs=args.epochs,
         normalize=not args.no_normalize,
     )
-    report = run_sweep(d, cfg)
+    report = run_sweep(_load(args), cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,6 +294,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SELECTION

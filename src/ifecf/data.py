@@ -76,7 +76,9 @@ class Dataset:
         if not cols:
             raise DataError("cannot project onto an empty feature set")
         names = tuple(self.feature_names[c] for c in cols)
-        return Dataset(self.features[:, cols], self.labels, names, self.class_names)
+        # np.take returns a C-ordered copy, which _freeze keeps as it is
+        return Dataset(np.take(self.features, cols, axis=1), self.labels, names,
+                       self.class_names)
 
 
 @dataclass(frozen=True)

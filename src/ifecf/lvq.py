@@ -4,7 +4,7 @@ fixed learning rate."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -117,14 +117,12 @@ def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
                     class_names=train.class_names)
 
 
-def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None,
-          visit_plan: list[np.ndarray] | None = None) -> LVQModel:
+def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQModel:
     """Winner-take-all training.
 
-    Each epoch visits instances in a seeded shuffled order (or the given
-    ``visit_plan``, one index array per epoch). The nearest prototype is
-    pulled toward same-class instances and pushed away from others by the
-    fixed learning rate.
+    Each epoch visits instances in a seeded shuffled order. The nearest
+    prototype is pulled toward same-class instances and pushed away from
+    others by the fixed learning rate.
     """
     cfg = cfg or model.config
     if data.n_features != model.n_features:
@@ -133,19 +131,12 @@ def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None,
         )
     book = model.codebook.copy()
     rng = np.random.default_rng(cfg.seed)
-    m = data.n_instances
-    x = data.features
-    y = data.labels
+    x, y, classes = data.features, data.labels.tolist(), model.classes.tolist()
     for epoch in range(cfg.epochs):
-        order = visit_plan[epoch] if visit_plan is not None else rng.permutation(m)
-        for i in order:
-            d2 = ((book - x[i]) ** 2).sum(axis=1)
-            win = int(np.argmin(d2))
-            step = cfg.alpha * (x[i] - book[win])
-            if model.classes[win] == y[i]:
-                book[win] += step
-            else:
-                book[win] -= step
+        for i in rng.permutation(data.n_instances).tolist():
+            diff = x[i] - book
+            win = int((diff**2).sum(axis=1).argmin())
+            book[win] += (cfg.alpha if classes[win] == y[i] else -cfg.alpha) * diff[win]
         if not np.all(np.isfinite(book)):
             raise LVQError(f"non-finite prototype after epoch {epoch + 1}")
     return LVQModel(book, model.classes.copy(), cfg,

@@ -129,3 +129,32 @@ def relief_oracle(rows, labels, picks):
         for j in range(nf):
             w[j] += ((x[miss][j] - x[i][j]) ** 2 - (x[hit][j] - x[i][j]) ** 2) / len(picks)
     return w
+
+
+def lvq1_oracle(codebook, classes, rows, labels, alpha, epochs, seed):
+    """LVQ1 codebook after ``epochs`` passes over the rows; pass e visits them
+    in the order of the e-th ``permutation`` call on one
+    ``np.random.default_rng(seed)``. At each visit the nearest
+    prototype (squared Euclidean distance, ties to the lowest index) moves by
+    alpha * (x - w), toward x on a class match and away from it otherwise.
+    Distances accumulate left to right in explicit loops; no ``sum()``, which
+    compensates float sums from Python 3.12 on."""
+    book = [list(w) for w in codebook]
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for i in rng.permutation(len(rows)).tolist():
+            x = rows[i]
+            win, best = 0, math.inf
+            for p, w in enumerate(book):
+                d2 = 0.0
+                for j in range(len(x)):
+                    d2 += (x[j] - w[j]) ** 2
+                if d2 < best:
+                    win, best = p, d2
+            w = book[win]
+            for j in range(len(x)):
+                if classes[win] == labels[i]:
+                    w[j] = w[j] + alpha * (x[j] - w[j])
+                else:
+                    w[j] = w[j] - alpha * (x[j] - w[j])
+    return book

@@ -5,7 +5,6 @@ lines as they complete.
 """
 
 import math
-import statistics
 import time
 
 import numpy as np
@@ -233,13 +232,19 @@ def test_directional_timing_reduced_vs_original():
     )
 
 
-def _median_time(fn, runs=7):
-    samples = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+def _min_times(fns, rounds):
+    """Fastest time of each function over ``rounds`` rounds that call them in
+    turn, so a slow spell of a busy host falls on every size alike. Each
+    round calls a function twice in a row: the first call after a switch of
+    size can spend its time refilling the allocator's heap (page faults)."""
+    best = [math.inf] * len(fns)
+    for _ in range(rounds):
+        for k, fn in enumerate(fns):
+            for _ in range(2):
+                t0 = time.perf_counter()
+                fn()
+                best[k] = min(best[k], time.perf_counter() - t0)
+    return best
 
 
 def test_linear_pass_scaling():
@@ -256,12 +261,10 @@ def test_linear_pass_scaling():
     f_correlation_matrix(x1)
     f_correlation_matrix(x2)
 
-    t1 = _median_time(lambda: dispersion_scores(d1))
-    t2 = _median_time(lambda: dispersion_scores(d2))
+    t1, t2 = _min_times([lambda: dispersion_scores(d1), lambda: dispersion_scores(d2)], 7)
     disp_ratio = t2 / t1
 
-    p1 = _median_time(lambda: f_correlation_matrix(x1), runs=15)
-    p2 = _median_time(lambda: f_correlation_matrix(x2), runs=15)
+    p1, p2 = _min_times([lambda: f_correlation_matrix(x1), lambda: f_correlation_matrix(x2)], 8)
     pair_ratio = p2 / p1
     report(
         "dispersion pass scales linearly (ratio 2.0 +/- 0.5); pairwise pass >= 3x",

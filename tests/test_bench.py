@@ -7,7 +7,6 @@ from ifecf.bench import (
     BenchError,
     SweepConfig,
     cell_seed,
-    compare_reports,
     paper_efficiency,
     run_sweep,
     timing_stability,
@@ -34,6 +33,8 @@ class TestSweepConfig:
             SweepConfig(alphas=(1.5,))
         with pytest.raises(BenchError):
             SweepConfig(repeats=0)
+        with pytest.raises(BenchError):
+            SweepConfig(epochs=0)
         with pytest.raises(BenchError):
             SweepConfig(eval_target="validation")
 
@@ -142,6 +143,22 @@ class TestRunSweep:
             [[getattr(r, k) for k in keys] for r in projected.records]
 
 
+class TestAccuracyTable:
+    def test_missing_cell_raises(self):
+        rng = np.random.default_rng(11)
+        report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep())
+        assert [row[0] for row in report.accuracy_table("original")] == ["50-50", "70-30"]
+        with pytest.raises(BenchError, match="no record"):
+            report.accuracy_table("reduced")
+
+    def test_repeated_fraction_reads_first_record(self):
+        rng = np.random.default_rng(12)
+        report = run_sweep(random_dataset(rng, m=60, n=4),
+                           small_sweep(fractions=(0.5, 0.5), alphas=(0.1,)))
+        first = f"{report.records[0].accuracy:.2f}"
+        assert [row[1] for row in report.accuracy_table("original")] == [first, first]
+
+
 class TestPaperEfficiency:
     def test_table1_50_50_reading(self):
         assert paper_efficiency(472, 384) == pytest.approx(122.9, abs=0.05)
@@ -165,47 +182,6 @@ class TestCellSeed:
 
     def test_master_seed_changes_cells(self):
         assert cell_seed(1, 0, 0) != cell_seed(2, 0, 0)
-
-
-class TestCompareReports:
-    def test_self_comparison_zero_deltas(self):
-        rng = np.random.default_rng(5)
-        d = random_dataset(rng, m=60, n=4)
-        report = run_sweep(d, small_sweep())
-        cmp = compare_reports(report, report)
-        assert all(c["accuracy_delta"] == 0.0 for c in cmp["cells"])
-        assert cmp["fraction_faster_or_equal"] == 1.0
-
-    def test_axis_mismatch(self):
-        rng = np.random.default_rng(6)
-        d = random_dataset(rng, m=60, n=4)
-        a = run_sweep(d, small_sweep(alphas=(0.1,)))
-        b = run_sweep(d, small_sweep(alphas=(0.2,)))
-        with pytest.raises(BenchError, match="axes"):
-            compare_reports(a, b)
-
-    def test_reduced_is_faster_on_wide_data(self):
-        rng = np.random.default_rng(7)
-        m, n = 73, 325
-        labels = rng.integers(0, 2, m)
-        x = rng.normal(size=(m, n)) + 3
-        x[:, :4] += 2.0 * labels[:, None]
-        # most features near-constant so the dispersion filter halves the set
-        x[:, n // 2 :] = 10.0 + 0.0001 * rng.normal(size=(m, n - n // 2))
-        d = make_dataset(x, labels)
-        cfg = SweepConfig(
-            fractions=(0.3, 0.5, 0.7),
-            alphas=(0.1, 0.3),
-            repeats=5,
-            epochs=5,
-            selection=SelectionConfig(delta=0.01, tau_c=0.0, tau_f=1.0),
-        )
-        report = run_sweep(d, cfg)
-        cmp = compare_reports(
-            report.variant_view("original"), report.variant_view("reduced")
-        )
-        deltas = sorted(c["classify_ms_delta"] for c in cmp["cells"])
-        assert deltas[len(deltas) // 2] < 0
 
 
 class TestTimingStability:

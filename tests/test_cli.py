@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ifecf import __version__, lvq
+from ifecf import __version__, cli, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv, write_csv
+from ifecf.measures import FeatureStats
 from oracles import exhaustive_search
 
 
@@ -49,6 +50,25 @@ class TestStats:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.csv")]) == 2
+
+    def test_sort_dispersion_puts_undef_last(self, tmp_path, capsys):
+        p = tmp_path / "zm.csv"
+        p.write_text("a,b,c,class\n-1,1,1,x\n1,2,-1,y\n0,3,3,x\n")
+        assert main(["stats", str(p), "--sort", "dispersion"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [(r.split()[1], r.split()[4]) for r in rows] == \
+            [("c", "1.6330"), ("b", "0.4082"), ("a", "undef")]
+
+    @pytest.mark.parametrize("sort", ["dispersion", "ccorr"])
+    def test_sort_uses_unrounded_values(self, small_csv, capsys, monkeypatch, sort):
+        # features 0 and 1 print the same 4-decimal value; 1 is the larger
+        values = [(0.123441, -0.123441), (0.123449, 0.123449), (None, 0.5)]
+        stats = [FeatureStats(1.0, 1.0, disp, cc) for disp, cc in values]
+        monkeypatch.setattr(cli, "feature_stats", lambda d: stats)
+        assert main(["stats", str(small_csv), "--sort", sort]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        expected = {"dispersion": ["1", "0", "2"], "ccorr": ["2", "1", "0"]}[sort]
+        assert [r.split()[0] for r in rows] == expected
 
 
 class TestSelect:
@@ -254,3 +274,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--method", "ifecf", "--tau-f", "2"],
+        ["select", "--method", "cfs", "--patience", "0"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--fractions", "1.5"],
+        ["bench", "--epochs", "0"],
+        ["train", "--alpha", "2"],
+    ], ids=["select-tau-f", "select-patience", "bench-repeats", "bench-fractions",
+            "bench-epochs", "train-alpha"])
+    def test_bad_option_value_exit_1(self, small_csv, tmp_path, capsys, argv):
+        out = ["--out", str(tmp_path / "out")]
+        assert main(argv[:1] + [str(small_csv)] + argv[1:] + out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        # the value is checked before the dataset is read
+        assert main(argv[:1] + [str(tmp_path / "nope.csv")] + argv[1:] + out) == 1

@@ -211,6 +211,20 @@ class TestDataset:
         p = d.project([2, 0])
         assert p.features.tolist() == [[3, 1], [6, 4]]
 
+    def test_project_copies_once(self):
+        rng = np.random.default_rng(0)
+        d = make_dataset(rng.normal(size=(98000, 20)), rng.integers(0, 2, 98000))
+        cols = [19, 0, 5, 7, 2, 11, 3, 17, 8, 13, 1, 6]
+        tracemalloc.start()
+        try:
+            p = d.project(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.features, d.features[:, cols])
+        assert p.features.flags.c_contiguous
+        assert peak <= 1.25 * p.features.nbytes
+
 
 class TestSplit:
     def test_pima_90_10_counts(self, pima_dataset):

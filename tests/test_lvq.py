@@ -16,7 +16,7 @@ from ifecf.lvq import (
     init_codebook,
     train,
 )
-from oracles import classify_batch_unblocked
+from oracles import classify_batch_unblocked, lvq1_oracle
 
 
 def two_gaussians(rng, m=100, sigma=0.1, sep=1.0):
@@ -84,22 +84,20 @@ class TestTrain:
                 (1 + alpha) * np.linalg.norm(x - w)
             )
 
-    def test_visit_order_over_instances_not_storage(self):
-        rng = np.random.default_rng(2)
-        d = two_gaussians(rng, m=30)
-        cfg = LVQConfig(epochs=3, seed=5)
+    @pytest.mark.parametrize("ppc", [1, 3])
+    @pytest.mark.parametrize("n", [4, 8, 20])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_trajectory_matches_oracle(self, k, n, ppc):
+        rng = np.random.default_rng(100 * k + 10 * n + ppc)
+        labels = np.repeat(np.arange(k), 8)
+        x = rng.normal(size=(labels.size, n)) + labels[:, None] * rng.normal(size=n)
+        d = make_dataset(x, labels)
+        cfg = LVQConfig(alpha=0.3, epochs=3, prototypes_per_class=ppc, seed=k + n)
         model = init_codebook(d, cfg)
-        plan = [np.random.default_rng(cfg.seed + e).permutation(30) for e in range(3)]
-        trained = train(model, d, cfg, visit_plan=plan)
-
-        perm = rng.permutation(30)
-        permuted = make_dataset(d.features[perm], d.labels[perm])
-        inv = np.empty(30, dtype=int)
-        inv[perm] = np.arange(30)
-        plan_permuted = [inv[p] for p in plan]
-        trained_p = train(init_codebook(permuted, cfg), permuted, cfg,
-                          visit_plan=plan_permuted)
-        assert np.allclose(trained.codebook, trained_p.codebook)
+        trained = train(model, d, cfg)
+        expected = lvq1_oracle(model.codebook.tolist(), model.classes.tolist(),
+                               x.tolist(), labels.tolist(), cfg.alpha, cfg.epochs, cfg.seed)
+        assert trained.codebook.tolist() == expected
 
     def test_arity_mismatch(self):
         rng = np.random.default_rng(3)
