@@ -63,7 +63,6 @@ class CellRecord:
     total: int
     train_ms: float
     classify_ms: float
-    train_ms_repeats: list[float] = field(default_factory=list)
     classify_ms_repeats: list[float] = field(default_factory=list)
     selection: dict | None = None
 
@@ -130,11 +129,10 @@ def _run_cell(parts: tuple[Dataset, Dataset], cfg: SweepConfig, fraction: float,
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
     model0 = init_codebook(train_d, lvq_cfg)
 
-    train_times = []
-    for _ in range(cfg.repeats):
-        t0 = time.perf_counter()
-        model = lvq_train(model0, train_d, lvq_cfg)
-        train_times.append((time.perf_counter() - t0) * 1e3)
+    # training is deterministic, so one timed fit is the cell's model
+    t0 = time.perf_counter()
+    model = lvq_train(model0, train_d, lvq_cfg)
+    train_ms = (time.perf_counter() - t0) * 1e3
 
     scored, extra = _EVAL_PARTITIONS[cfg.eval_target]
     classify_times = []
@@ -153,9 +151,8 @@ def _run_cell(parts: tuple[Dataset, Dataset], cfg: SweepConfig, fraction: float,
         paper_efficiency=paper_efficiency(whole_correct, test_d.n_instances),
         correct=correct,
         total=total,
-        train_ms=statistics.median(train_times),
+        train_ms=train_ms,
         classify_ms=statistics.median(classify_times),
-        train_ms_repeats=train_times,
         classify_ms_repeats=classify_times,
         selection=selection,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lvq  # lvq.classify_batch is looked up per call
-from .bench import BenchError, SweepConfig, run_sweep
+from .bench import BenchError, SweepConfig, run_sweep, timing_stability
 from .data import DataError, load_csv
 from .lvq import LVQConfig, LVQError, LVQModel, init_codebook
 from .lvq import train as lvq_train
@@ -198,12 +198,12 @@ def cmd_bench(args) -> int:
             w = csv.writer(fh)
             w.writerow(headers)
             w.writerows(report.accuracy_table(variant))
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
+    doc = report.to_dict()
+    doc["timing_stability"] = timing_stability(report) if cfg.repeats >= 3 else None
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     _write_manifest(out_dir, args)
     if not args.no_plot:
-        sweep_charts(report.to_dict(), out_dir)
+        sweep_charts(doc, out_dir)
     print(f"wrote {len(report.records)} cell records to {out_dir}")
     return EXIT_OK
 
@@ -269,7 +269,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[round(0.1 * i, 1) for i in range(1, 10)])
     p.add_argument("--alphas", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4, 0.5])
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=5,
+                   help="timed classification passes per cell; training runs once")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--eval-target", choices=["test", "train", "whole"], default="test")

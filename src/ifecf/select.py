@@ -72,11 +72,12 @@ def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
     ok = norms > 0
     scaled = np.zeros_like(dev)
     scaled[:, ok] = dev[:, ok] / norms[ok]
-    r = np.abs(scaled.T @ scaled)
+    r = scaled.T @ scaled
+    np.abs(r, out=r)
     np.fill_diagonal(r, 1.0)
     r[~ok, :] = 0.0
     r[:, ~ok] = 0.0
-    return np.clip(r, 0.0, 1.0)
+    return np.clip(r, 0.0, 1.0, out=r)
 
 
 def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:

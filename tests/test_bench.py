@@ -124,6 +124,29 @@ class TestRunSweep:
         assert len(report.records) == 8
         assert len(calls) == 4
 
+    def test_one_train_per_cell(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        d = random_dataset(rng, m=60, n=4)
+        calls = []
+        original = bench.lvq_train
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(bench, "lvq_train", counting)
+        selection = SelectionConfig(tau_c=0.0)
+        report = run_sweep(d, small_sweep(repeats=3, selection=selection))
+        assert len(report.records) == 8
+        assert len(calls) == len(report.records)
+        assert all("train_ms_repeats" not in r.to_dict() for r in report.records)
+        assert all(len(r.classify_ms_repeats) == 3 for r in report.records)
+        once = run_sweep(d, small_sweep(repeats=1, selection=selection))
+        keys = ("fraction", "alpha", "variant", "accuracy", "paper_efficiency",
+                "correct", "total", "selection")
+        assert [[getattr(r, k) for k in keys] for r in report.records] == \
+            [[getattr(r, k) for k in keys] for r in once.records]
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_reduced_equals_original_on_projected_data(self, normalize):
         rng = np.random.default_rng(10)

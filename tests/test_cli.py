@@ -222,6 +222,18 @@ class TestBench:
         assert self._run(small_csv, out2, "--seed", "7") == 0
         assert (out1 / "original.csv").read_bytes() == (out2 / "original.csv").read_bytes()
 
+    @pytest.mark.parametrize("repeats", ["1", "3"])
+    def test_report_timing_stability(self, small_csv, tmp_path, repeats):
+        out = tmp_path / "run"
+        assert self._run(small_csv, out, "--repeats", repeats) == 0
+        report = json.loads((out / "report.json").read_text())
+        stability = report["timing_stability"]
+        if repeats == "1":
+            assert stability is None
+        else:
+            assert len(stability["cells"]) == len(report["records"]) == 4
+            assert set(stability) == {"cells", "flagged"}
+
     def test_csv_round_trips_through_loader(self, small_csv, tmp_path):
         out = tmp_path / "run"
         assert self._run(small_csv, out) == 0

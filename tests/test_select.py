@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,17 @@ class TestVectorizedPasses:
                 assert r[i, j] == pytest.approx(
                     abs(correlation(x[:, i], x[:, j])), abs=1e-12
                 )
+
+    def test_f_correlation_matrix_peak_memory(self):
+        x = np.random.default_rng(21).normal(size=(200, 1000))
+        tracemalloc.start()
+        try:
+            r = f_correlation_matrix(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the N x N result is the only matrix of its size: |r| and the clip work in place
+        assert peak <= 1.6 * r.nbytes
 
     def test_zero_variance_column_is_zero(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
