@@ -203,38 +203,103 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     return SelectionResult(kept=kept, eliminated=eliminated, merit_trace=trace)
 
 
+# Elements of each (picks, M) approximate-distance array in one relief block.
+BLOCK_CELLS = 1 << 16
+
+
 def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
     """Relief relevance weights.
 
     For each of n seeded random picks, find the nearest same-class hit and
     nearest other-class miss by Euclidean distance, then move each feature
     weight away from the hit difference and toward the miss difference.
-    Differences are range-normalized so weights stay in [-1, 1].
+    Differences are range-normalized so weights stay in [-1, 1]. Equal
+    distances go to the lowest row index, and the weights are summed in
+    pick order.
+
+    The distance of row c from pick i is D = sqrt(S), where S is numpy's
+    sum of (x[c] - x[i])**2 over the N features. Picks go in blocks of
+    ``BLOCK_CELLS // M`` (at least one), and each block gets the approximate
+    squared distances g = |a|² + |b|² - 2·a·b (a = x[c], b = x[i]) of all
+    M rows from one matmul. Only the rows that g cannot rule out get their
+    exact D, so the weights are those of a full per-pick scan, bit for bit,
+    and memory is bounded by the block, not by picks x M.
+
+    The bound, with u = 2**-53, gamma_k = k·u / (1 - k·u) and
+    n = |a|² + |b|² (the computed norms differ from the real ones by a
+    factor 1 ± gamma_N, a second-order term):
+
+    - Gram error. Each norm is off by at most gamma_N times itself and the
+      dot product by gamma_N·|a|·|b| <= gamma_N·n/2, in any summation
+      order; the two final additions add under 3.1·u·n. So
+      |g - s| <= (2·gamma_N + 3.1·u)·n for the real squared distance s.
+    - Row-sum rounding. Each term of S is >= 0 with relative error
+      gamma_3, and the sum adds gamma_(N-1), so |S - s| <= gamma_(N+2)·s
+      <= 2·gamma_(N+2)·n, as s <= 2·n.
+    - sqrt ties. D(c) = D(q) lets S(c) exceed S(q) by up to
+      4.01·u·S(q) <= 8.1·u·n(q), and the first such c must be kept.
+
+    So with tol = 4·(N + 8)·eps·n = 8·(N + 8)·u·n, lo = g - tol and
+    hi = g + tol, let thr be the least hi among the masked rows, reached at
+    row q, and keep the rows with lo <= thr. The exact winner c* has
+    S(c*) <= (1 + 4.01·u)·S(q), so lo(c*) <= S(c*) - (3.9·N + 54)·u·n(c*)
+    and S(c*) <= thr - (3.9·N + 44)·u·n(q); the slack covers the rounding
+    of lo, hi and tol (a few u·n). A NaN bound keeps its row.
     """
     m, nfeat = train.features.shape
     n = min(cfg.relief_samples, m)
-    for c in range(train.class_count):
-        if 0 < (train.labels == c).sum() < 2:
-            raise SelectionError(
-                f"class {train.class_names[c]!r} has a single instance; no hit exists"
-            )
+    counts = np.bincount(train.labels, minlength=train.class_count)
+    single = np.flatnonzero(counts == 1)
+    if single.size:
+        raise SelectionError(
+            f"class {train.class_names[single[0]]!r} has a single instance; no hit exists"
+        )
+    if np.count_nonzero(counts) < 2:
+        raise SelectionError("relief needs rows of two classes or more; no miss exists")
     span = train.features.max(axis=0) - train.features.min(axis=0)
-    scale = np.where(span > 0, span, 1.0)
-    x = train.features / scale  # constant features diff to 0 regardless
+    # A constant column differs by exactly 0 between any two rows, whatever
+    # its value; zeroing it keeps that value out of the norms in g.
+    x = np.divide(train.features, span, out=np.zeros_like(train.features), where=span > 0)
     rng = np.random.default_rng(cfg.seed)
     picks = rng.choice(m, size=n, replace=False)
+    sq = (x**2).sum(axis=1)
+    rel = 4 * (nfeat + 8) * np.finfo(np.float64).eps
     w = np.zeros(nfeat)
-    for i in picks:
-        diffs = x - x[i]
-        dists = np.sqrt((diffs**2).sum(axis=1))
-        dists[i] = np.inf
-        same = train.labels == train.labels[i]
-        hit_d = np.where(same, dists, np.inf)
-        miss_d = np.where(~same, dists, np.inf)
-        hit = int(np.argmin(hit_d))
-        miss = int(np.argmin(miss_d))
-        w += (diffs[miss] ** 2 - diffs[hit] ** 2) / n
+    step = max(1, BLOCK_CELLS // m)
+    for start in range(0, n, step):
+        block = picks[start:start + step]
+        hi = x[block] @ x.T
+        hi *= -2.0
+        tol = sq[block, None] + sq
+        hi += tol  # now g = |a|² + |b|² - 2·a·b
+        tol *= rel
+        lo = hi - tol
+        hi += tol
+        same = train.labels[block, None] == train.labels
+        other = ~same
+        same[np.arange(block.size), block] = False
+        hit = _nearest(x, block, lo, hi, same)
+        miss = _nearest(x, block, lo, hi, other)
+        delta = ((x[miss] - x[block]) ** 2 - (x[hit] - x[block]) ** 2) / n
+        for row in delta:  # in pick order: a vectorized sum would reorder it
+            w += row
     return w
+
+
+def _nearest(x: np.ndarray, block: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             mask: np.ndarray) -> np.ndarray:
+    """For each pick in ``block``, the first masked row at the least exact
+    distance, given bounds ``lo <= S <= hi`` on every squared distance ``S``
+    (see relief). Rows with ``lo`` above the least masked ``hi`` are out; a
+    pick left with one candidate needs no exact distance."""
+    thr = np.where(mask, hi, np.inf).min(axis=1, keepdims=True)
+    cand = mask & ~(lo > thr)  # NaN bounds keep their rows
+    nearest = cand.argmax(axis=1)
+    for r in np.flatnonzero(np.count_nonzero(cand, axis=1) > 1):
+        rows = np.flatnonzero(cand[r])
+        dists = np.sqrt(((x[rows] - x[block[r]]) ** 2).sum(axis=1))
+        nearest[r] = rows[np.argmin(dists)]
+    return nearest
 
 
 def apply_selection(d: Dataset, r: SelectionResult) -> Dataset:

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations, pure-python loops only.
 
 These deliberately avoid numpy vector paths so they cannot share a bug with
-the library code they check. The one exception is
-``classify_batch_unblocked``: the blocked ``lvq.classify_batch`` must equal
-the whole-array numpy formula bit for bit, so that formula is the reference.
+the library code they check. The two exceptions are bit-exact references:
+the blocked ``lvq.classify_batch`` must equal the whole-array numpy formula
+``classify_batch_unblocked``, and ``select.relief`` must equal the plain
+per-pick numpy scan ``relief_exact``, bit for bit.
 """
 
 import math
@@ -128,6 +129,25 @@ def relief_oracle(rows, labels, picks):
         miss = min((k for k in others if labels[k] != labels[i]), key=dist)
         for j in range(nf):
             w[j] += ((x[miss][j] - x[i][j]) ** 2 - (x[hit][j] - x[i][j]) ** 2) / len(picks)
+    return w
+
+
+def relief_exact(features, labels, picks):
+    """Relief weights by one full numpy distance scan per pick, in the float
+    order of ``select.relief``: range-scaled features, Euclidean distance
+    ``sqrt(((x - x[i])**2).sum(1))``, ties to the lowest row, and the weights
+    summed in pick order."""
+    span = features.max(axis=0) - features.min(axis=0)
+    x = features / np.where(span > 0, span, 1.0)
+    w = np.zeros(features.shape[1])
+    for i in picks:
+        diffs = x - x[i]
+        dists = np.sqrt((diffs**2).sum(axis=1))
+        dists[i] = np.inf
+        same = labels == labels[i]
+        hit = int(np.argmin(np.where(same, dists, np.inf)))
+        miss = int(np.argmin(np.where(~same, dists, np.inf)))
+        w += (diffs[miss] ** 2 - diffs[hit] ** 2) / len(picks)
     return w
 
 

@@ -16,7 +16,14 @@ from ifecf.select import (
     merit_value,
     relief,
 )
-from oracles import dispersion_oracle, exhaustive_search, merit_oracle, relief_oracle
+from ifecf import select
+from oracles import (
+    dispersion_oracle,
+    exhaustive_search,
+    merit_oracle,
+    relief_exact,
+    relief_oracle,
+)
 
 
 def open_config(**kw):
@@ -227,6 +234,12 @@ class TestRelief:
         with pytest.raises(SelectionError, match="single instance"):
             relief(d, SelectionConfig(relief_samples=2))
 
+    def test_single_class_present_error(self):
+        d = make_dataset([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]], [0, 0, 0, 0],
+                         class_names=("p", "q"))
+        with pytest.raises(SelectionError, match="two classes"):
+            relief(d, SelectionConfig(relief_samples=4))
+
     def test_duplicated_feature_weights_match(self):
         rng = np.random.default_rng(16)
         m = 40
@@ -253,6 +266,60 @@ class TestRelief:
         picks = np.random.default_rng(4).choice(40, size=samples, replace=False)
         want = relief_oracle(d.features.tolist(), d.labels.tolist(), picks.tolist())
         assert np.allclose(relief(d, cfg), want, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _exact_case(name, rng):
+        """(features, labels, samples) of one adversarial set for the
+        Gram-filtered distance scan."""
+        if name == "duplicate_rows":
+            base = random_dataset(rng, m=200, n=20)
+            return np.tile(base.features, (4, 1)), np.tile(base.labels, 4), 300
+        if name == "integer_ties":
+            labels = rng.integers(0, 3, 800)
+            return rng.integers(0, 4, (800, 30)).astype(float), labels, 400
+        if name == "large_offset":
+            labels = rng.integers(0, 2, 1000)
+            x = 1e6 + rng.normal(size=(1000, 40))
+            x[:, :5] += 0.5 * labels[:, None]
+            return x, labels, 500
+        if name == "huge_constant_column":
+            d = random_dataset(rng, m=500, n=6)
+            return np.column_stack([d.features, np.full(500, -1e200)]), d.labels, 200
+        if name == "five_classes":
+            d = random_dataset(rng, m=3000, n=10, classes=5)
+            return d.features, d.labels, 1000
+        if name == "wide":
+            d = random_dataset(rng, m=60, n=500)
+            return d.features, d.labels, 60
+        # picks fill three whole blocks and part of a fourth
+        m = 5000
+        step = select.BLOCK_CELLS // m
+        assert select.BLOCK_CELLS % m and step > 1
+        d = random_dataset(rng, m=m, n=8, classes=3)
+        return d.features, d.labels, 3 * step + step // 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["duplicate_rows", "integer_ties", "large_offset",
+                                      "huge_constant_column", "five_classes", "wide",
+                                      "ragged_blocks"])
+    def test_bit_identical_to_exact_reference(self, name, seed):
+        features, labels, samples = self._exact_case(name, np.random.default_rng(seed))
+        d = make_dataset(features, labels)
+        cfg = SelectionConfig(relief_samples=samples, seed=seed)
+        picks = np.random.default_rng(seed).choice(len(labels), size=samples, replace=False)
+        want = relief_exact(d.features, d.labels, picks)
+        assert np.array_equal(relief(d, cfg).view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_bounded_by_block(self):
+        # one unblocked (picks, M) float array would take 2000 * 20000 * 8 = 320 MB
+        d = random_dataset(np.random.default_rng(21), m=20000, n=10)
+        tracemalloc.start()
+        try:
+            relief(d, SelectionConfig(relief_samples=2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * d.features.nbytes
 
 
 class TestApplySelection:
