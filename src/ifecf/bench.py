@@ -11,8 +11,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+# perfbench/tracer.py wraps split, fit_normalizer, apply_normalizer, ife_cf,
+# apply_selection, init_codebook, lvq_train and evaluate here by name, and
+# run_sweep looks each up at call time: keep every one of them bound.
 from .data import Dataset, SplitSpec, apply_normalizer, fit_normalizer, split
-from .lvq import LVQConfig, evaluate, init_codebook
+from .lvq import (LVQConfig, LVQError, LVQModel, cell_groups, evaluate, init_codebook,
+                  lockstep_nbytes, train_cells)
 from .lvq import train as lvq_train
 from .select import SelectionConfig, SelectionError, apply_selection, ife_cf
 
@@ -22,6 +26,14 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # eval_target -> (partitions scored for accuracy, partitions evaluated once
 # more only for paper_efficiency); 0 is the train partition, 1 the test one.
 _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1), ())}
+
+# run_sweep trains and evaluates the cells it has prepared once they hold this
+# many bytes (``_Cell.nbytes``), so its memory stays bounded as M grows.
+BATCH_BYTES = 8 << 20
+# Groups of ``lvq.cell_groups`` with fewer cells train cell by cell with
+# ``lvq.train``: below this size the lockstep step's fixed numpy cost per
+# visit outweighs what its cells share.
+LOCKSTEP_MIN_CELLS = 3
 
 
 class BenchError(ValueError):
@@ -122,40 +134,116 @@ def paper_efficiency(correct_whole: int, test_total: int) -> float:
     return 100.0 * correct_whole / test_total
 
 
-def _run_cell(parts: tuple[Dataset, Dataset], cfg: SweepConfig, fraction: float,
-              alpha: float, seed: int, variant: str,
-              selection: dict | None) -> CellRecord:
-    train_d, test_d = parts
-    lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
-    model0 = init_codebook(train_d, lvq_cfg)
+@dataclass
+class _Cell:
+    """A sweep cell prepared for training: its partitions and initial model."""
 
-    # training is deterministic, so one timed fit is the cell's model
-    t0 = time.perf_counter()
-    model = lvq_train(model0, train_d, lvq_cfg)
-    train_ms = (time.perf_counter() - t0) * 1e3
+    fraction: float
+    alpha: float
+    variant: str
+    parts: tuple[Dataset, Dataset]
+    model: LVQModel
+    cfg: LVQConfig
+    selection: dict | None
 
+    @property
+    def nbytes(self) -> int:
+        """The partitions, plus a bound on the cell's share of the lockstep
+        arrays: its group visits no more rows an epoch than its largest
+        train partition, which is no larger than this cell's whole dataset."""
+        rows = sum(part.n_instances for part in self.parts)
+        return rows * self.model.n_features * 8 + lockstep_nbytes(self.model, rows)
+
+
+def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
+    """Train the cells, one ``train_cells`` call per group of
+    ``cell_groups`` or one ``lvq_train`` call per cell of a smaller group,
+    and evaluate them in order. Each record's ``train_ms`` is the wall time
+    of the call that trained it. If cells fail, the error of the first in
+    batch order is raised, as training them one by one would."""
+    trained: list = [None] * len(batch)
+    train_ms = [0.0] * len(batch)
+    errors: dict[int, LVQError] = {}
+    for group in cell_groups([c.model for c in batch], [c.cfg for c in batch]):
+        calls = [group] if len(group) >= LOCKSTEP_MIN_CELLS else [[i] for i in group]
+        for call in calls:
+            cells = [batch[i] for i in call]
+            t0 = time.perf_counter()
+            try:
+                if len(cells) == 1:  # seen by the tracer as lvq.train
+                    models = [lvq_train(cells[0].model, cells[0].parts[0], cells[0].cfg)]
+                else:
+                    models = train_cells([c.model for c in cells], [c.parts[0] for c in cells],
+                                         [c.cfg for c in cells])
+            except LVQError as exc:  # train_cells gives its failing cell's index in the call
+                errors[call[getattr(exc, "cell", 0)]] = exc
+                continue
+            ms = (time.perf_counter() - t0) * 1e3
+            for i, model in zip(call, models):
+                trained[i], train_ms[i] = model, ms
+    if errors:
+        raise errors[min(errors)]
+    return [_evaluate(c, model, ms, cfg) for c, model, ms in zip(batch, trained, train_ms)]
+
+
+def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -> CellRecord:
     scored, extra = _EVAL_PARTITIONS[cfg.eval_target]
     classify_times = []
     for _ in range(cfg.repeats):
         t0 = time.perf_counter()
-        results = [evaluate(model, parts[k]) for k in scored]
+        results = [evaluate(model, cell.parts[k]) for k in scored]
         classify_times.append((time.perf_counter() - t0) * 1e3)
     correct = sum(r.correct for r in results)
     total = sum(r.total for r in results)
-    whole_correct = correct + sum(evaluate(model, parts[k]).correct for k in extra)
+    whole_correct = correct + sum(evaluate(model, cell.parts[k]).correct for k in extra)
     return CellRecord(
-        fraction=fraction,
-        alpha=alpha,
-        variant=variant,
+        fraction=cell.fraction,
+        alpha=cell.alpha,
+        variant=cell.variant,
         accuracy=100.0 * correct / total,
-        paper_efficiency=paper_efficiency(whole_correct, test_d.n_instances),
+        paper_efficiency=paper_efficiency(whole_correct, cell.parts[1].n_instances),
         correct=correct,
         total=total,
         train_ms=train_ms,
         classify_ms=statistics.median(classify_times),
         classify_ms_repeats=classify_times,
-        selection=selection,
+        selection=cell.selection,
     )
+
+
+def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
+    """The original and, with a selection config, the reduced variant of
+    grid cell (fraction ``fi``, alpha ``ai``), ready to train."""
+    fraction, alpha = cfg.fractions[fi], cfg.alphas[ai]
+    seed = cell_seed(cfg.seed, fi, ai)
+    try:
+        parts = split(d, SplitSpec(fraction, seed=seed, stratified=True))
+    except ValueError as exc:
+        raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
+    sel = None
+    if cfg.selection is not None:
+        try:
+            sel = ife_cf(parts[0], cfg.selection)
+        except SelectionError as exc:
+            raise BenchError(
+                f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}"
+            ) from exc
+    if cfg.normalize:
+        norm = fit_normalizer(parts[0])
+        parts = tuple(apply_normalizer(p, norm) for p in parts)
+    lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
+    cells = [_Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg),
+                   lvq_cfg, None)]
+    if sel is not None:
+        summary = {
+            "kept_count": len(sel.kept),
+            "kept": sel.kept,
+            "eliminated_count": len(sel.eliminated),
+        }
+        parts = tuple(apply_selection(p, sel) for p in parts)
+        cells.append(_Cell(fraction, alpha, "reduced", parts, init_codebook(parts[0], lvq_cfg),
+                           lvq_cfg, summary))
+    return cells
 
 
 def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
@@ -167,37 +255,30 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     min-max scaling is per column, so projecting the normalized partitions
     equals normalizing the projected ones.
 
+    Cells are prepared in grid order and trained in batches of about
+    ``BATCH_BYTES``, with ``lvq.train_cells`` for each lockstep group; the
+    records come out in grid order.
+
     Accuracy fields are a pure function of (dataset, config); timing fields
     come from a monotonic clock and vary run to run.
     """
-    records = []
-    for fi, fraction in enumerate(cfg.fractions):
-        for ai, alpha in enumerate(cfg.alphas):
-            seed = cell_seed(cfg.seed, fi, ai)
+    records: list[CellRecord] = []
+    batch: list[_Cell] = []
+    for fi in range(len(cfg.fractions)):
+        for ai in range(len(cfg.alphas)):
             try:
-                parts = split(d, SplitSpec(fraction, seed=seed, stratified=True))
-            except ValueError as exc:
-                raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
-            sel = None
-            if cfg.selection is not None:
-                try:
-                    sel = ife_cf(parts[0], cfg.selection)
-                except SelectionError as exc:
-                    raise BenchError(
-                        f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}"
-                    ) from exc
-            if cfg.normalize:
-                norm = fit_normalizer(parts[0])
-                parts = tuple(apply_normalizer(p, norm) for p in parts)
-            records.append(_run_cell(parts, cfg, fraction, alpha, seed, "original", None))
-            if sel is not None:
-                summary = {
-                    "kept_count": len(sel.kept),
-                    "kept": sel.kept,
-                    "eliminated_count": len(sel.eliminated),
-                }
-                parts = tuple(apply_selection(p, sel) for p in parts)
-                records.append(_run_cell(parts, cfg, fraction, alpha, seed, "reduced", summary))
+                cells = _prepare(d, cfg, fi, ai)
+            except (BenchError, LVQError):
+                # the cells before this one train first, so an error of
+                # theirs wins, as in grid order
+                _run_batch(batch, cfg)
+                raise
+            for cell in cells:
+                batch.append(cell)
+                if sum(c.nbytes for c in batch) >= BATCH_BYTES:
+                    records.extend(_run_batch(batch, cfg))
+                    batch = []
+    records.extend(_run_batch(batch, cfg))
     env = f"{platform.platform()} python {platform.python_version()} numpy {np.__version__}"
     return SweepReport(cfg, records, environment=env)
 

@@ -159,7 +159,9 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = LVQModel.load(args.model)
     d = _load(args)
-    preds = lvq.classify_batch(model, d.features)  # ids into model.class_names
+    cols = model.columns(d.feature_names)  # the model's columns, by name
+    x = d.features if cols == list(range(d.n_features)) else d.features[:, cols]
+    preds = lvq.classify_batch(model, x)  # ids into model.class_names
     for i, pred in enumerate(preds):
         print(f"{i}\t{model.class_names[pred]}")
     # the file's class ids in the model's table; a label the model lacks gets -1

@@ -4,6 +4,7 @@ fixed learning rate."""
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,10 @@ class LVQConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("epochs", "prototypes_per_class", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise LVQError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise LVQError(f"alpha must be in (0,1), got {self.alpha}")
         if self.epochs < 1:
@@ -39,6 +44,7 @@ class LVQModel:
     config: LVQConfig
     epochs_run: int = 0
     class_names: tuple[str, ...] = ()  # class id -> label token of the training set
+    feature_names: tuple[str, ...] = ()  # codebook column -> header name in the training set
 
     @property
     def n_features(self) -> int:
@@ -49,6 +55,7 @@ class LVQModel:
             "codebook": self.codebook.tolist(),
             "classes": self.classes.tolist(),
             "class_names": list(self.class_names),
+            "feature_names": list(self.feature_names),
             "config": {
                 "alpha": self.config.alpha,
                 "epochs": self.config.epochs,
@@ -69,6 +76,7 @@ class LVQModel:
             codebook = np.asarray(doc["codebook"])
             classes = np.asarray(doc["classes"])
             names = doc["class_names"]
+            feature_names = doc["feature_names"]
             config = LVQConfig(**doc["config"])
             epochs_run = doc["epochs_run"]
         except KeyError as exc:
@@ -86,8 +94,26 @@ class LVQModel:
             raise LVQError(f"{path}: class_names must be a list of distinct strings")
         if classes.min() < 0 or classes.max() >= len(names):
             raise LVQError(f"{path}: class id outside class_names")
+        if (not isinstance(feature_names, list) or len(feature_names) != codebook.shape[1]
+                or not all(isinstance(n, str) for n in feature_names)):
+            raise LVQError(f"{path}: feature_names must be {codebook.shape[1]} strings")
+        if isinstance(epochs_run, bool) or not isinstance(epochs_run, int) or epochs_run < 0:
+            raise LVQError(f"{path}: epochs_run must be a non-negative integer")
         return cls(codebook.astype(np.float64), classes.astype(np.int64), config,
-                   epochs_run, tuple(names))
+                   epochs_run, tuple(names), tuple(feature_names))
+
+    def columns(self, names) -> list[int]:
+        """Index in ``names`` (a file's feature header) of each codebook column,
+        matched by name; the k-th repeat of a name matches its k-th repeat."""
+        free = defaultdict(list)
+        for j, name in enumerate(names):
+            free[name].append(j)
+        cols = []
+        for name in self.feature_names:
+            if not free[name]:
+                raise LVQError(f"no feature column {name!r}, which the model was trained on")
+            cols.append(free[name].pop(0))
+        return cols
 
 
 def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
@@ -114,7 +140,24 @@ def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
                 protos.append(train.features[r].copy())
                 classes.append(c)
     return LVQModel(np.array(protos), np.array(classes, dtype=np.int64), cfg,
-                    class_names=train.class_names)
+                    class_names=train.class_names, feature_names=train.feature_names)
+
+
+def _check_arity(model: LVQModel, data: Dataset) -> None:
+    if data.n_features != model.n_features:
+        raise LVQError(
+            f"model expects N={model.n_features}, dataset has N={data.n_features}"
+        )
+
+
+def _nonfinite(epoch: int) -> LVQError:
+    return LVQError(f"non-finite prototype after epoch {epoch}")
+
+
+def _trained(model: LVQModel, book: np.ndarray, cfg: LVQConfig) -> LVQModel:
+    return LVQModel(book, model.classes.copy(), cfg,
+                    epochs_run=model.epochs_run + cfg.epochs, class_names=model.class_names,
+                    feature_names=model.feature_names)
 
 
 def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQModel:
@@ -125,10 +168,7 @@ def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQMo
     others by the fixed learning rate.
     """
     cfg = cfg or model.config
-    if data.n_features != model.n_features:
-        raise LVQError(
-            f"model expects N={model.n_features}, dataset has N={data.n_features}"
-        )
+    _check_arity(model, data)
     book = model.codebook.copy()
     rng = np.random.default_rng(cfg.seed)
     x, y, classes = data.features, data.labels.tolist(), model.classes.tolist()
@@ -138,9 +178,99 @@ def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQMo
             win = int((diff**2).sum(axis=1).argmin())
             book[win] += (cfg.alpha if classes[win] == y[i] else -cfg.alpha) * diff[win]
         if not np.all(np.isfinite(book)):
-            raise LVQError(f"non-finite prototype after epoch {epoch + 1}")
-    return LVQModel(book, model.classes.copy(), cfg,
-                    epochs_run=model.epochs_run + cfg.epochs, class_names=model.class_names)
+            raise _nonfinite(epoch + 1)
+    return _trained(model, book, cfg)
+
+
+# Cells with fewer features are zero-padded to this width so that they can
+# share a lockstep group; a padded column adds a +0.0 square. On numpy 2.4.6,
+# padding rows of 1-6 features to 7 columns kept the bits of every squared
+# distance, and the sum over up to 7 columns equalled adding the columns one
+# by one; padding to 8, 9, 12 or 16 columns changed thousands of them. Wider
+# cells are never padded. Other numpy versions are unchecked.
+PAD_WIDTH = 7
+
+
+def _lockstep_width(model: LVQModel) -> int:
+    return max(model.n_features, PAD_WIDTH)
+
+
+def cell_groups(models: list[LVQModel], cfgs: list[LVQConfig]) -> list[list[int]]:
+    """Cell indices of each group that ``train_cells`` can train in one call:
+    equal prototype count, epochs and width (N, or ``PAD_WIDTH`` when N is
+    smaller). Groups are ordered by their first cell."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (model, cfg) in enumerate(zip(models, cfgs, strict=True)):
+        key = (model.codebook.shape[0], cfg.epochs, _lockstep_width(model))
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def lockstep_nbytes(model: LVQModel, visits: int) -> int:
+    """Bytes of a cell's share of the per-epoch arrays of ``train_cells``
+    when its group makes ``visits`` visits an epoch."""
+    return visits * (_lockstep_width(model) + model.codebook.shape[0]) * 8
+
+
+def train_cells(models: list[LVQModel], datas: list[Dataset],
+                cfgs: list[LVQConfig]) -> list[LVQModel]:
+    """Train one group of ``cell_groups`` with one numpy step per visit
+    index; model ``i`` is bit-identical to ``train(models[i], datas[i],
+    cfgs[i])``.
+
+    The cells are sorted by row count M, largest first, so the cells that
+    still have a row at visit t are a prefix ``[:k]``. Each epoch gathers
+    every cell's rows in its own seeded order, with the +-alpha coefficient
+    of each (row, prototype) pair; each visit then updates the winning
+    prototype of all k cells with a few whole-group numpy operations.
+
+    If cells go non-finite, the ``LVQError`` that ``train`` raises for the
+    first of them in argument order is raised, with that cell's index as
+    its ``cell`` attribute.
+    """
+    for model, data in zip(models, datas, strict=True):
+        _check_arity(model, data)
+    if len(cell_groups(models, cfgs)) != 1:
+        raise LVQError("train_cells needs one group of cell_groups")
+    order = sorted(range(len(models)), key=lambda a: -datas[a].n_instances)
+    sizes = [datas[a].n_instances for a in order]
+    cells, p, width = len(order), models[0].codebook.shape[0], _lockstep_width(models[0])
+    book = np.zeros((cells, p, width))
+    for c, a in enumerate(order):
+        book[c, :, :models[a].n_features] = models[a].codebook
+    xs = np.zeros((sizes[0], cells, width))  # visit t's row of each cell
+    coef = np.empty((sizes[0], cells, p, 1))  # its +-alpha for each prototype
+    winner = np.eye(p, dtype=bool)[:, :, None]  # winner[r]: the mask of prototype r
+    rngs = [np.random.default_rng(cfgs[a].seed) for a in order]
+    # (k, first visit, end): runs of visits at which exactly k cells have a row
+    ends = sizes + [0]
+    runs = [(k, ends[k], ends[k - 1]) for k in range(cells, 0, -1) if ends[k] < ends[k - 1]]
+    failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
+    for epoch in range(cfgs[0].epochs):
+        for c, a in enumerate(order):
+            perm = rngs[c].permutation(sizes[c])
+            xs[:sizes[c], c, :models[a].n_features] = datas[a].features[perm]
+            same = models[a].classes == datas[a].labels[perm, None]
+            coef[:sizes[c], c, :, 0] = np.where(same, cfgs[a].alpha, -cfgs[a].alpha)
+        for k, start, stop in runs:
+            group, rows, signs = book[:k], xs[:, :k, None], coef[:, :k]
+            for t in range(start, stop):
+                diff = rows[t] - group
+                win = (diff**2).sum(axis=2).argmin(axis=1)
+                # only each cell's winner moves; the other prototypes keep their bits
+                np.add(group, signs[t] * diff, out=group, where=winner.take(win, axis=0))
+        for c in np.flatnonzero(~np.isfinite(book).all(axis=(1, 2))).tolist():
+            failed.setdefault(order[c], epoch + 1)
+            book[c] = 0.0  # keeps a failed cell finite and quiet; its result is dropped
+    if failed:
+        first = min(failed)
+        exc = _nonfinite(failed[first])
+        exc.cell = first
+        raise exc
+    out: list = [None] * cells
+    for c, a in enumerate(order):
+        out[a] = _trained(models[a], book[c, :, :models[a].n_features].copy(), cfgs[a])
+    return out
 
 
 def classify(model: LVQModel, x) -> int:

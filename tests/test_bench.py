@@ -11,7 +11,14 @@ from ifecf.bench import (
     run_sweep,
     timing_stability,
 )
-from ifecf.select import SelectionConfig
+from ifecf.lvq import LVQError
+from ifecf.select import SelectionConfig, SelectionError
+
+
+def accuracy_fields(report):
+    keys = ("fraction", "alpha", "variant", "accuracy", "paper_efficiency",
+            "correct", "total", "selection")
+    return [[getattr(r, k) for k in keys] for r in report.records]
 
 
 def small_sweep(**kw):
@@ -127,25 +134,86 @@ class TestRunSweep:
     def test_one_train_per_cell(self, monkeypatch):
         rng = np.random.default_rng(13)
         d = random_dataset(rng, m=60, n=4)
-        calls = []
-        original = bench.lvq_train
+        trained = {"single": 0, "lockstep": 0}
+        train, cells = bench.lvq_train, bench.train_cells
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting_train(*args):
+            trained["single"] += 1
+            return train(*args)
 
-        monkeypatch.setattr(bench, "lvq_train", counting)
+        def counting_cells(models, *args):
+            trained["lockstep"] += len(models)
+            return cells(models, *args)
+
+        monkeypatch.setattr(bench, "lvq_train", counting_train)
+        monkeypatch.setattr(bench, "train_cells", counting_cells)
+        # every cell counts 60 rows x (4 features + 7 padded + 2 prototypes)
+        # float64s: batches of 3, 3 and 2 cells, so two lockstep groups and two
+        # single cells
+        monkeypatch.setattr(bench, "BATCH_BYTES", 3 * 60 * (4 + 7 + 2) * 8)
         selection = SelectionConfig(tau_c=0.0)
         report = run_sweep(d, small_sweep(repeats=3, selection=selection))
         assert len(report.records) == 8
-        assert len(calls) == len(report.records)
+        assert all(r.selection["kept_count"] == 4 for r in report.records[1::2])
+        assert trained == {"single": 2, "lockstep": 6}
         assert all("train_ms_repeats" not in r.to_dict() for r in report.records)
         assert all(len(r.classify_ms_repeats) == 3 for r in report.records)
         once = run_sweep(d, small_sweep(repeats=1, selection=selection))
-        keys = ("fraction", "alpha", "variant", "accuracy", "paper_efficiency",
-                "correct", "total", "selection")
-        assert [[getattr(r, k) for k in keys] for r in report.records] == \
-            [[getattr(r, k) for k in keys] for r in once.records]
+        assert accuracy_fields(report) == accuracy_fields(once)
+
+    def test_one_cell_batches_give_identical_records(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        d = random_dataset(rng, m=90, n=9)
+        cfg = small_sweep(alphas=(0.1, 0.3, 0.5), selection=SelectionConfig(tau_c=0.05))
+        lockstep = run_sweep(d, cfg)
+        monkeypatch.setattr(bench, "BATCH_BYTES", 1)
+        single = run_sweep(d, cfg)
+        assert accuracy_fields(lockstep) == accuracy_fields(single)
+
+    def test_first_failing_cell_in_grid_order_raises(self, monkeypatch):
+        # groups: the 9-wide originals (cells 0, 2, 4, 6), the 8-wide reduced
+        # cell 1 and the padded reduced cells 3, 5 and 7
+        d = random_dataset(np.random.default_rng(16), m=60, n=9)
+        cfg = small_sweep(selection=SelectionConfig(tau_c=0.3))
+
+        def failing(models, datas, cfgs):
+            exc = LVQError(f"{models[0].n_features} wide")
+            exc.cell = 2 if models[0].n_features == 9 else 0  # cells 4 and 3
+            raise exc
+
+        monkeypatch.setattr(bench, "train_cells", failing)
+        with pytest.raises(LVQError, match="^7 wide$"):
+            run_sweep(d, cfg)
+
+    def test_earlier_training_error_beats_later_preparation_error(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(17), m=60, n=4)
+        selected = []
+        real = bench.ife_cf
+
+        def second_fails(part, sel_cfg):
+            selected.append(1)
+            if len(selected) == 2:
+                raise SelectionError("no feature left")
+            return real(part, sel_cfg)
+
+        monkeypatch.setattr(bench, "ife_cf", second_fails)
+        cfg = small_sweep(selection=SelectionConfig(tau_c=0.0))
+        with pytest.raises(BenchError, match="selection failed: no feature left"):
+            run_sweep(d, cfg)
+
+        def train_fails(model, data, lvq_cfg):
+            raise LVQError("first cell fails")
+
+        selected.clear()
+        monkeypatch.setattr(bench, "lvq_train", train_fails)
+        with pytest.raises(LVQError, match="first cell fails"):
+            run_sweep(d, cfg)
+
+    def test_train_ms_shared_within_a_group(self):
+        rng = np.random.default_rng(15)
+        report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep())
+        assert len({r.train_ms for r in report.records}) == 1
+        assert report.records[0].train_ms > 0
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_reduced_equals_original_on_projected_data(self, normalize):

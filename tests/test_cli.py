@@ -180,6 +180,37 @@ class TestTrainClassify:
         assert "class_names" in capsys.readouterr().err
 
 
+    def test_columns_matched_by_name(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        d = load_csv(small_csv)
+        reordered = tmp_path / "reordered.csv"
+        write_csv(d.project([2, 0, 1]), reordered)
+        capsys.readouterr()
+        assert main(["classify", str(model_path), str(small_csv)]) == 0
+        want = capsys.readouterr()
+        assert main(["classify", str(model_path), str(reordered)]) == 0
+        got = capsys.readouterr()
+        assert got.out == want.out and got.err == want.err
+
+    def test_missing_column_exit_2(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        dropped = tmp_path / "dropped.csv"
+        write_csv(load_csv(small_csv).project([0, 2]), dropped)
+        assert main(["classify", str(model_path), str(dropped)]) == 2
+        assert "no feature column 'f1'" in capsys.readouterr().err
+
+    def test_model_without_feature_names_exit_2(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        del doc["feature_names"]
+        model_path.write_text(json.dumps(doc))
+        assert main(["classify", str(model_path), str(small_csv)]) == 2
+        assert "feature_names" in capsys.readouterr().err
+
+
 class TestBench:
     def _run(self, csv_path, out_dir, *extra):
         args = [

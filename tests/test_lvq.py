@@ -11,10 +11,12 @@ from ifecf.lvq import (
     LVQError,
     LVQModel,
     classify,
+    cell_groups,
     classify_batch,
     evaluate,
     init_codebook,
     train,
+    train_cells,
 )
 from oracles import classify_batch_unblocked, lvq1_oracle
 
@@ -99,6 +101,12 @@ class TestTrain:
                                x.tolist(), labels.tolist(), cfg.alpha, cfg.epochs, cfg.seed)
         assert trained.codebook.tolist() == expected
 
+    def test_rejects_cells_of_different_groups(self):
+        cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
+        models, datas, cfgs = (list(c) for c in zip(*cells))
+        with pytest.raises(LVQError, match="one group"):
+            train_cells(models, datas, cfgs)
+
     def test_arity_mismatch(self):
         rng = np.random.default_rng(3)
         d = two_gaussians(rng)
@@ -114,6 +122,97 @@ class TestTrain:
         a = train(init_codebook(d, cfg), d, cfg)
         b = train(init_codebook(d, cfg), d, cfg)
         assert np.array_equal(a.codebook, b.codebook)
+
+
+def lockstep_cell(seed, n, m, k=3, ppc=1, alpha=0.3, epochs=4, noise=False):
+    """One independent training cell: (initial model, data, config)."""
+    rng = np.random.default_rng(seed)
+    labels = np.resize(np.arange(k), m)[rng.permutation(m)]
+    x = rng.normal(size=(m, n))
+    if not noise:
+        x += rng.normal(size=(k, n))[labels]
+    d = make_dataset(x, labels)
+    cfg = LVQConfig(alpha=alpha, epochs=epochs, prototypes_per_class=ppc, seed=seed)
+    return init_codebook(d, cfg), d, cfg
+
+
+def assert_cells_match_train(cells):
+    """Train each group of ``cell_groups`` with one ``train_cells`` call and
+    compare every cell with its own ``train``."""
+    models, datas, cfgs = (list(c) for c in zip(*cells))
+    got = [None] * len(cells)
+    for group in cell_groups(models, cfgs):
+        trained = train_cells(*[[seq[i] for i in group] for seq in (models, datas, cfgs)])
+        for i, out in zip(group, trained):
+            got[i] = out
+    for model, data, cfg, out in zip(models, datas, cfgs, got):
+        want = train(model, data, cfg)
+        assert out.codebook.shape == want.codebook.shape
+        assert out.codebook.tobytes() == want.codebook.tobytes()
+        assert out.classes.tobytes() == want.classes.tobytes()
+        assert (out.config, out.epochs_run) == (want.config, want.epochs_run)
+        assert (out.class_names, out.feature_names) == (want.class_names, want.feature_names)
+
+
+class TestTrainCells:
+    def test_padded_widths_share_one_group(self):
+        # widths 1-7 and row counts 9-200 in one zero-padded group
+        cells = [lockstep_cell(10 + n, n, m, alpha=0.05 * n)
+                 for n, m in zip(range(1, 8), (9, 200, 37, 120, 64, 150, 12))]
+        assert cell_groups(*[[c[i] for c in cells] for i in (0, 2)]) == [list(range(7))]
+        assert_cells_match_train(cells)
+
+    def test_unpadded_widths_group_alone(self):
+        cells = [lockstep_cell(20 + i, n, 40 + 17 * i) for i, n in enumerate((8, 20, 8, 20, 8, 20))]
+        assert cell_groups(*[[c[i] for c in cells] for i in (0, 2)]) == [[0, 2, 4], [1, 3, 5]]
+        assert_cells_match_train(cells)
+
+    @pytest.mark.parametrize("ppc", [1, 3])
+    def test_prototypes_per_class(self, ppc):
+        cells = [lockstep_cell(30 + i, n, 60 + 10 * i, k=2, ppc=ppc, alpha=0.1 + 0.1 * i)
+                 for i, n in enumerate((2, 5, 3, 6))]
+        assert_cells_match_train(cells)
+
+    def test_group_sizes_one_two_three_ten(self):
+        cells = ([lockstep_cell(40, 20, 50)]
+                 + [lockstep_cell(41 + i, 8, 30 + 5 * i) for i in range(2)]
+                 + [lockstep_cell(43 + i, 9, 45 - 7 * i) for i in range(3)]
+                 + [lockstep_cell(46 + i, 1 + i % 7, 20 + 9 * i, alpha=0.05 * (i + 1))
+                    for i in range(10)])
+        cells[5][0].epochs_run = 2  # a model trained before adds its epochs
+        groups = cell_groups(*[[c[i] for c in cells] for i in (0, 2)])
+        assert [len(g) for g in groups] == [1, 2, 3, 10]
+        assert_cells_match_train(cells)
+
+    def test_diverging_cell_raises_trains_message(self):
+        # pure-noise 5-class cells at N=20 diverge: alpha 0.1 after epoch 20,
+        # alpha 0.3 after epoch 8; the first failing cell in order decides
+        slow = lockstep_cell(50, 20, 2000, k=5, alpha=0.1, epochs=20, noise=True)
+        fast = lockstep_cell(50, 20, 2000, k=5, alpha=0.3, epochs=20, noise=True)
+        healthy = [lockstep_cell(51 + i, 20, 100, k=5, alpha=0.1, epochs=20) for i in range(2)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(LVQError) as alone:
+                train(*slow)
+            for cells, epoch in (([healthy[0], slow, healthy[1], fast], 20),
+                                 ([healthy[0], fast, healthy[1], slow], 8)):
+                models, datas, cfgs = (list(c) for c in zip(*cells))
+                with pytest.raises(LVQError) as grouped:
+                    train_cells(models, datas, cfgs)
+                assert str(grouped.value) == f"non-finite prototype after epoch {epoch}"
+                assert grouped.value.cell == 1
+        assert str(alone.value) == "non-finite prototype after epoch 20"
+
+    def test_rejects_cells_of_different_groups(self):
+        cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
+        models, datas, cfgs = (list(c) for c in zip(*cells))
+        with pytest.raises(LVQError, match="one group"):
+            train_cells(models, datas, cfgs)
+
+    def test_arity_mismatch(self):
+        model, data, cfg = lockstep_cell(60, 3, 20)
+        other = lockstep_cell(61, 4, 20)[1]
+        with pytest.raises(LVQError, match="N=3"):
+            train_cells([model] * 3, [data, other, data], [cfg] * 3)
 
 
 class TestClassify:
@@ -206,7 +305,7 @@ class TestSerialization:
 
     def _saved_doc(self):
         model = LVQModel(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]),
-                         LVQConfig(), class_names=("neg", "pos"))
+                         LVQConfig(), class_names=("neg", "pos"), feature_names=("a", "b"))
         return model.to_dict()
 
     @pytest.mark.parametrize(
@@ -225,6 +324,15 @@ class TestSerialization:
             ("class_names", ["a", "a"], "distinct strings"),
             ("config", {"alpha": 2.0}, "malformed"),
             ("config", {"rate": 0.1}, "malformed"),
+            ("config", {"epochs": 2.5}, "epochs must be an integer"),
+            ("config", {"seed": "x"}, "seed must be an integer"),
+            ("config", {"prototypes_per_class": True}, "prototypes_per_class must be an integer"),
+            ("epochs_run", "abc", "epochs_run must be a non-negative integer"),
+            ("epochs_run", -1, "epochs_run must be a non-negative integer"),
+            ("epochs_run", 2.0, "epochs_run must be a non-negative integer"),
+            ("feature_names", None, "lacks 'feature_names'"),  # a model saved before names
+            ("feature_names", ["a"], "feature_names must be 2 strings"),
+            ("feature_names", ["a", 1], "feature_names must be 2 strings"),
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, key, value, message):
@@ -237,6 +345,21 @@ class TestSerialization:
         p.write_text(json.dumps(doc))
         with pytest.raises(LVQError, match=message):
             LVQModel.load(p)
+
+    def test_loads_what_it_saves(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(self._saved_doc()))
+        loaded = LVQModel.load(p)
+        assert loaded.feature_names == ("a", "b") and loaded.epochs_run == 0
+
+    def test_columns_by_name(self):
+        model = LVQModel(np.zeros((1, 3)), np.array([0]), LVQConfig(),
+                         feature_names=("b", "x", "b"))
+        assert model.columns(("x", "b", "c", "b")) == [1, 0, 3]
+        with pytest.raises(LVQError, match="no feature column 'x'"):
+            model.columns(("b", "b"))
+        with pytest.raises(LVQError, match="no feature column 'b'"):
+            model.columns(("b", "x"))
 
     @pytest.mark.parametrize("text", ["{not json", "[]", "null"])
     def test_load_rejects_non_model_json(self, tmp_path, text):
