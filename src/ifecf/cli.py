@@ -129,9 +129,8 @@ def cmd_select(args) -> int:
         result = SelectionResult(kept=kept, eliminated=eliminated)
         print("relief weights:", " ".join(f"{w:.4f}" for w in weights))
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
+    if args.out:  # no indent: json's C encoder
+        Path(args.out).write_text(json.dumps(result.to_dict()), encoding="utf-8")
     kept_names = [d.feature_names[j] for j in result.kept]
     print(f"kept {len(result.kept)}/{d.n_features}: {', '.join(kept_names)}")
     if result.merit_trace:

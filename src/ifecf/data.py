@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import contains
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,8 @@ class Dataset:
             raise DataError("label vector length does not match instance count")
         if len(self.feature_names) != n:
             raise DataError("feature_names length does not match feature count")
-        if not np.all(np.isfinite(self.features)):
+        # min and max propagate nan and reach +-inf, without an (M, N) temporary
+        if not (np.isfinite(self.features.min()) and np.isfinite(self.features.max())):
             raise DataError("non-finite feature value")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= len(self.class_names):
             raise DataError("label id outside class table")
@@ -104,8 +106,8 @@ class NormalizationParams:
         object.__setattr__(self, "maxs", _freeze(np.asarray(self.maxs, dtype=np.float64)))
 
 
-# Cells per parse block. The cell strings of one block (about 90 bytes each)
-# are the parser's only memory beyond the float64 result.
+# Cells per parse block. The strings of one block (its lines, or its cells on
+# the csv path) are the parser's only memory beyond the float64 result.
 BLOCK_CELLS = 1 << 14
 
 
@@ -116,74 +118,160 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     default is the last column. Labels map to contiguous integer ids in
     first-appearance order. Blank lines are skipped, and errors name the
     file's physical line. Rows are parsed in blocks of about ``BLOCK_CELLS``
-    cells, so memory stays near one float64 copy of the features.
+    cells, so memory stays near one float64 copy of the features. Blocks of
+    lines with no quote character go to numpy's C reader; from the first
+    quote on, the ``csv`` module reads the rest, as a quoted field may span
+    lines.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = _numbered_rows(fh, delimiter)
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: need a header row and at least one data row")
-        header = [c.strip() for c in first[1]]
-        arity = len(header)
-        block_rows = max(1, BLOCK_CELLS // arity)
-        block = list(islice(rows, block_rows))
-        if not block:
-            raise DataError(f"{path}: need a header row and at least one data row")
-        if class_column is None:
-            class_idx = arity - 1
-        elif isinstance(class_column, int):
-            if not 0 <= class_column < arity:
-                raise DataError(f"class column index {class_column} out of range")
-            class_idx = class_column
-        else:
-            try:
-                class_idx = header.index(class_column)
-            except ValueError:
-                raise DataError(f"class column {class_column!r} not in header {header}") from None
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            return _read(path, fh, class_column, delimiter)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
 
-        ids: dict[str, int] = {}  # label token -> id, in first-appearance order
-        feat_blocks, label_blocks = [], []
-        while block:
-            parsed = _parse_block(block, arity, class_idx, ids)
+
+def _utf8_error(path: Path) -> DataError:
+    """The error for the first line of ``path`` that is not valid UTF-8."""
+    lineno = 1
+    with path.open("rb") as fh:
+        for raw in fh:  # split at b"\n"; a lone b"\r" also ends a text line
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno += raw.count(b"\r", 0, exc.start)
+                return DataError(f"{path}:{lineno}: invalid UTF-8 byte {raw[exc.start]:#04x}")
+            lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
+    return DataError(f"{path}: not valid UTF-8")
+
+
+def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
+    """The Dataset of the open text file ``fh``; see ``load_csv``."""
+    lineno, line = next(((n, ln) for n, ln in enumerate(fh, 1) if ln.strip("\r\n")), (1, ""))
+    rows = _numbered_rows(path, chain([line], fh), delimiter, lineno)
+    head = next(rows, None)
+    if head is None:
+        raise DataError(f"{path}: need a header row and at least one data row")
+    header = [c.strip() for c in head[1]]
+    arity = len(header)
+    fast = arity > 1 and delimiter != " " and '"' not in line
+    blocks = _blocks(path, fh, delimiter, max(1, BLOCK_CELLS // arity), lineno + 1,
+                     None if fast else rows)
+    first = next(blocks, None)
+    if first is None:
+        raise DataError(f"{path}: need a header row and at least one data row")
+    if class_column is None:
+        class_idx = arity - 1
+    elif isinstance(class_column, int):
+        if not 0 <= class_column < arity:
+            raise DataError(f"class column index {class_column} out of range")
+        class_idx = class_column
+    else:
+        try:
+            class_idx = header.index(class_column)
+        except ValueError:
+            raise DataError(f"class column {class_column!r} not in header {header}") from None
+
+    ids: dict[str, int] = {}  # label token -> id, in first-appearance order
+    # One array sized by the line count: per-block arrays kept for a final
+    # concatenate fragment the heap and raise the peak RSS of what follows.
+    features = np.empty((_line_bound(path), arity - 1))
+    labels = np.empty(len(features), dtype=np.int64)
+    m = 0
+    for start, block in chain([first], blocks):
+        parsed = None if start is None else _parse_lines(block, arity, class_idx, delimiter)
+        if parsed is None:
+            if start is not None:
+                block = list(_numbered_rows(path, block, delimiter, start))
+            parsed = _parse_block(block, arity, class_idx)
             if parsed is None:
                 raise _first_bad_cell(path, block, header, class_idx)
-            feat_blocks.append(parsed[0])
-            label_blocks.append(parsed[1])
-            del block  # free this block's cells before reading the next
-            block = list(islice(rows, block_rows))
+        feats, tokens = parsed
+        k = len(tokens)
+        features[m:m + k] = feats
+        labels[m:m + k] = [ids.setdefault(t, len(ids)) for t in map(str.strip, tokens)]
+        m += k
+        del block, parsed, feats, tokens  # free this block before reading the next
 
     feature_names = tuple(h for i, h in enumerate(header) if i != class_idx)
     if len(ids) < 2:
         raise DataError(f"{path}: single-class dataset, classification undefined")
-    labels = np.concatenate(label_blocks)
-    if labels.size < 2:
+    if m < 2:
         raise DataError(f"{path}: need at least 2 instances")
-    features = np.concatenate(feat_blocks)
-    del feat_blocks
+    features.resize((m, arity - 1), refcheck=False)  # in place: no second copy
+    labels.resize(m, refcheck=False)
     return Dataset(features, labels, feature_names, tuple(ids))
 
 
-def _numbered_rows(fh, delimiter: str):
-    """Yield (physical line number, cells) for each non-blank row."""
+def _line_bound(path: Path) -> int:
+    """An upper bound on the number of lines of ``path``. It reads 64 KiB
+    chunks, which malloc serves from its heap: freeing a larger, mmap-ed one
+    would raise malloc's mmap threshold for the rest of the process."""
+    with path.open("rb") as fh:
+        chunks = iter(lambda: fh.read(1 << 16), b"")
+        return 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
+
+
+def _blocks(path: Path, fh, delimiter: str, block_rows: int, lineno: int, rows=None):
+    """Yield the data in blocks of about ``block_rows`` rows: (number of the
+    first line, lines) for lines with no quote character, and (None, numbered
+    rows) from ``rows`` or, from the first block with a quote, from the
+    ``csv`` module, as a quoted field may span lines."""
+    while rows is None:
+        lines = list(islice(fh, block_rows))
+        if not lines:
+            return
+        if any(map(contains, lines, repeat('"'))):
+            rows = _numbered_rows(path, chain(lines, fh), delimiter, lineno)
+        elif any(ln.strip("\r\n") for ln in lines):
+            yield lineno, lines
+        lineno += len(lines)
+    while block := list(islice(rows, block_rows)):
+        yield None, block
+
+
+def _numbered_rows(path: Path, lines, delimiter: str, lineno: int):
+    """Yield (physical line number, cells) for each non-blank row of
+    ``lines``, the first of which is line ``lineno``."""
     if delimiter == " ":
-        for lineno, line in enumerate(fh, start=1):
+        for n, line in enumerate(lines, start=lineno):
             cells = line.split()
             if cells:
-                yield lineno, cells
+                yield n, cells
         return
-    reader = csv.reader(fh, delimiter=delimiter)
-    start = 1
-    for row in reader:
-        if row:
-            yield start, row
-        start = reader.line_num + 1  # a quoted field may span lines
+    reader = csv.reader(lines, delimiter=delimiter)
+    start = lineno
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = lineno + reader.line_num  # a quoted field may span lines
+    except csv.Error as exc:
+        raise DataError(f"{path}:{start}: {exc}") from None
 
 
-def _parse_block(block, arity: int, class_idx: int, ids: dict[str, int]):
-    """(features, label ids) of a block of numbered rows, or None when a row
+def _parse_lines(lines: list[str], arity: int, class_idx: int, delimiter: str):
+    """(features, label tokens) of a block of quote-free lines through
+    ``np.loadtxt``, or None when a line is blank or has the wrong arity, or
+    a feature cell is one numpy rejects or non-finite."""
+    if any(n != arity - 1 for n in map(str.count, lines, repeat(delimiter))):
+        return None
+    cols = [j for j in range(arity) if j != class_idx]
+    try:
+        feats = np.loadtxt(lines, delimiter=delimiter, usecols=cols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(feats).all():
+        return None
+    if class_idx == arity - 1:
+        return feats, [ln.rpartition(delimiter)[2] for ln in lines]
+    return feats, [ln.split(delimiter)[class_idx] for ln in lines]
+
+
+def _parse_block(block, arity: int, class_idx: int):
+    """(features, label tokens) of a block of numbered rows, or None when a row
     has the wrong arity or a feature cell is non-numeric or non-finite."""
     rows = [row for _, row in block]
     if any(len(row) != arity for row in rows):
@@ -197,11 +285,7 @@ def _parse_block(block, arity: int, class_idx: int, ids: dict[str, int]):
         return None
     if not np.isfinite(feats).all():
         return None
-    labels = np.fromiter(
-        (ids.setdefault(t, len(ids)) for t in map(str.strip, tokens)),
-        dtype=np.int64, count=len(tokens),
-    )
-    return feats.reshape(len(rows), arity - 1), labels
+    return feats.reshape(len(rows), arity - 1), tokens
 
 
 def _first_bad_cell(path: Path, block, header: list[str], class_idx: int) -> DataError:

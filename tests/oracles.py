@@ -7,6 +7,7 @@ the blocked ``lvq.classify_batch`` must equal the whole-array numpy formula
 per-pick numpy scan ``relief_exact``, bit for bit.
 """
 
+import csv
 import math
 from itertools import combinations
 
@@ -178,3 +179,15 @@ def lvq1_oracle(codebook, classes, rows, labels, alpha, epochs, seed):
                 else:
                     w[j] = w[j] - alpha * (x[j] - w[j])
     return book
+
+
+def load_csv_oracle(path, class_idx):
+    """The ``csv`` module and ``float()`` reading of a well-formed comma file:
+    (header, feature rows, label tokens), blank rows skipped, cells stripped
+    as ``load_csv`` strips them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = [c.strip() for c in rows[0]]
+    class_idx %= len(header)
+    feats = [[float(c) for j, c in enumerate(row) if j != class_idx] for row in rows[1:]]
+    return header, feats, [row[class_idx].strip() for row in rows[1:]]

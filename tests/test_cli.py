@@ -9,6 +9,7 @@ from ifecf import __version__, cli, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv, write_csv
 from ifecf.measures import FeatureStats
+from ifecf.select import SelectionConfig, cfs_search
 from oracles import exhaustive_search
 
 
@@ -50,6 +51,16 @@ class TestStats:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("text", [b"a,b,class\n1,2,x\n3,\xe94,y\n",
+                                      b'a,class\n1,"' + b"x" * 200000 + b'"\n2,y\n'],
+                             ids=["bad-utf8", "oversized-field"])
+    @pytest.mark.parametrize("command", [["stats"], ["select", "--method", "cfs"]])
+    def test_unreadable_text_exit_2(self, tmp_path, capsys, text, command):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text)
+        assert main([command[0], str(p), *command[1:]]) == 2
+        assert "bad.csv:" in capsys.readouterr().err
 
     def test_sort_dispersion_puts_undef_last(self, tmp_path, capsys):
         p = tmp_path / "zm.csv"
@@ -99,6 +110,16 @@ class TestSelect:
 
     def test_relief_zero_samples_usage_error(self, small_csv):
         assert main(["select", str(small_csv), "--method", "relief", "--samples", "0"]) == 1
+
+    def test_cfs_report_is_the_result(self, pima_csv, tmp_path):
+        out = tmp_path / "cfs.json"
+        assert main(["select", str(pima_csv), "--method", "cfs", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        result = cfs_search(load_csv(pima_csv), SelectionConfig())
+        assert result.merit_trace
+        assert doc == result.to_dict()  # merits too, bit for bit
+        assert out.read_text(encoding="utf-8").count("\n") == 0
 
     def test_all_eliminated_exit_3(self, tmp_path):
         d = make_dataset([[1.0], [1.0001], [1.0], [1.0001]], [0, 1, 0, 1])

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from ifecf.data import (
     split,
     write_csv,
 )
+from oracles import load_csv_oracle
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -194,6 +196,108 @@ class TestLoadCsvBlocks:
             tracemalloc.stop()
         assert loaded.n_instances == 20000
         assert peak <= 3 * loaded.features.nbytes
+
+
+def _assert_matches_oracle(path, class_idx=-1):
+    header, feats, tokens = load_csv_oracle(path, class_idx)
+    class_idx %= len(header)
+    d = load_csv(path, class_column=class_idx)
+    assert d.feature_names == tuple(h for j, h in enumerate(header) if j != class_idx)
+    assert d.features.tobytes() == np.array(feats, dtype=np.float64).tobytes()
+    assert d.class_names == tuple(dict.fromkeys(tokens))
+    assert [d.class_names[i] for i in d.labels.tolist()] == tokens
+
+
+class TestLoadCsvParsers:
+    """Quote-free blocks go to np.loadtxt, the rest to csv.reader and float();
+    both must give what the csv.reader + float() oracle gives, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.data())
+    def test_round_trip_matches_oracle(self, tmp_path_factory, draws):
+        n = draws.draw(st.integers(1, 4))
+        m = draws.draw(st.integers(2, 12))
+        class_idx = draws.draw(st.integers(0, n))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = draws.draw(st.lists(st.lists(finite, min_size=n, max_size=n),
+                                    min_size=m, max_size=m))
+        fmt = draws.draw(st.sampled_from(["{!r}", "{:.17g}", "{:.20e}", " {!r} "]))
+        labels = ["a", "b"] + draws.draw(st.lists(st.sampled_from(["a", " b", "c d"]),
+                                                 min_size=m - 2, max_size=m - 2))
+        eol = draws.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        lines = []
+        for row, label in zip([[f"f{j}" for j in range(n)]] + values, ["class"] + labels):
+            cells = [c if isinstance(c, str) else fmt.format(c) for c in row]
+            cells.insert(class_idx, label)
+            lines.append(",".join(cells))
+        p = tmp_path_factory.mktemp("rt") / "d.csv"
+        p.write_bytes(eol.join(lines).encode() + eol.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "BLOCK_CELLS", draws.draw(st.integers(1, 12)))
+            _assert_matches_oracle(p, class_idx)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 1.5 ", "\u0661\u0662", "5e-324", "-0.0"])
+    def test_cells_float_accepts(self, tmp_path, monkeypatch, cell):
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)  # two rows a block
+        rows = ["1,2,x", "3,4,y"] * 4
+        rows[5] = f"{cell},2,x"  # third block
+        _assert_matches_oracle(_write(tmp_path, "a,b,cls\n" + "\n".join(rows) + "\n"))
+
+    @pytest.mark.parametrize("bad, error", [
+        ("#1,2,x", r"d\.csv:7: non-numeric value '#1' in column 'a'"),
+        ("1,nan,x", r"d\.csv:7: non-finite value in column 'b'"),
+        ("inf,2,x", r"d\.csv:7: non-finite value in column 'a'"),
+        ("   ", r"d\.csv:7: expected 3 cells, got 1"),
+        ("1,2,x,y", r"d\.csv:7: expected 3 cells, got 4"),
+    ])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_errors_keep_message_and_line(self, tmp_path, monkeypatch, bad, error, eol):
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)
+        rows = ["1,2,x", "3,4,y"] * 4
+        rows[4] = bad  # third block, after one blank line
+        rows.insert(1, "")
+        p = tmp_path / "d.csv"
+        p.write_bytes(eol.join(["a,b,cls"] + rows + [""]).encode())
+        with pytest.raises(DataError, match=error):
+            load_csv(p)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_blank_lines_and_line_ends(self, tmp_path, monkeypatch, eol):
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)
+        rows = ["1.5,2,x", "", "3,-4e-3,y", "", "", "5,6,x", "7,8,y", ""]
+        p = tmp_path / "d.csv"
+        p.write_bytes(eol.join(["a,b,cls"] + rows).encode())
+        _assert_matches_oracle(p)
+
+    def test_first_quote_in_third_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)
+        rows = [f"{i}.5,{-i},{'xy'[i % 2]}" for i in range(12)]
+        rows[4] = '4.5,"-4","north, east"'
+        rows[7] = '7.5,-7,"multi\nline"'  # lines 9 and 10
+        rows[9] = "9.5,oops,x"
+        p = _write(tmp_path, "a,b,cls\n" + "\n".join(rows[:9]) + "\n")
+        _assert_matches_oracle(p)
+        p = _write(tmp_path, "a,b,cls\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"d\.csv:12: non-numeric value 'oops'"):
+            load_csv(p)
+
+    def test_header_spanning_lines(self, tmp_path):
+        p = _write(tmp_path, 'a,"b\nc",cls\n1,2,x\n3,oops,y\n')
+        with pytest.raises(DataError, match=r"d\.csv:4: non-numeric value 'oops'"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r"])
+    def test_invalid_utf8_names_line(self, tmp_path, eol):
+        p = tmp_path / "d.csv"
+        p.write_bytes(eol.join(["a,b,class", "1,2,x", "3,\xe94,y", ""]).encode("latin-1"))
+        with pytest.raises(DataError, match=r"d\.csv:3: invalid UTF-8 byte 0xe9"):
+            load_csv(p)
+
+    def test_oversized_quoted_field_names_line(self, tmp_path):
+        label = "x" * (csv.field_size_limit() + 1)
+        p = _write(tmp_path, f'a,cls\n1,x\n2,"{label}"\n3,y\n')
+        with pytest.raises(DataError, match=r"d\.csv:3: field larger than field limit"):
+            load_csv(p)
 
 
 class TestDataset:
