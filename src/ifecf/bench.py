@@ -30,10 +30,18 @@ _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1
 # run_sweep trains and evaluates the cells it has prepared once they hold this
 # many bytes (``_Cell.nbytes``), so its memory stays bounded as M grows.
 BATCH_BYTES = 8 << 20
-# Groups of ``lvq.cell_groups`` with fewer cells train cell by cell with
-# ``lvq.train``: below this size the lockstep step's fixed numpy cost per
-# visit outweighs what its cells share.
+# Groups of ``lvq.cell_groups`` with fewer cells train cell by cell through
+# ``lvq_train``. Lockstep would not be slower at 2: a 2-cell ``train_cells``
+# call took 0.60-0.86x the time of two ``train`` calls (N 7-20, P 2-5,
+# M 77-2000, one vCPU, numpy 2.4.6). The value stays 3 because
+# perfbench/tracer.py wraps ``lvq_train`` and not ``train_cells``: at 2, the
+# tiny tall input of perfbench/smoke.py (2 cells, both padded to width 7)
+# would train out of sight of its "trace sees lvq.train" check. Lower it once
+# ``train_cells`` has a span.
 LOCKSTEP_MIN_CELLS = 3
+# timing_stability flags a cell whose slowest classify pass takes more than
+# this many times its fastest.
+FLAG_RATIO = 3.0
 
 
 class BenchError(ValueError):
@@ -143,7 +151,6 @@ class _Cell:
     variant: str
     parts: tuple[Dataset, Dataset]
     model: LVQModel
-    cfg: LVQConfig
     selection: dict | None
 
     @property
@@ -164,17 +171,16 @@ def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
     trained: list = [None] * len(batch)
     train_ms = [0.0] * len(batch)
     errors: dict[int, LVQError] = {}
-    for group in cell_groups([c.model for c in batch], [c.cfg for c in batch]):
+    for group in cell_groups([c.model for c in batch]):
         calls = [group] if len(group) >= LOCKSTEP_MIN_CELLS else [[i] for i in group]
         for call in calls:
             cells = [batch[i] for i in call]
             t0 = time.perf_counter()
             try:
                 if len(cells) == 1:  # seen by the tracer as lvq.train
-                    models = [lvq_train(cells[0].model, cells[0].parts[0], cells[0].cfg)]
+                    models = [lvq_train(cells[0].model, cells[0].parts[0])]
                 else:
-                    models = train_cells([c.model for c in cells], [c.parts[0] for c in cells],
-                                         [c.cfg for c in cells])
+                    models = train_cells([c.model for c in cells], [c.parts[0] for c in cells])
             except LVQError as exc:  # train_cells gives its failing cell's index in the call
                 errors[call[getattr(exc, "cell", 0)]] = exc
                 continue
@@ -191,11 +197,10 @@ def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -
     classify_times = []
     for _ in range(cfg.repeats):
         t0 = time.perf_counter()
-        results = [evaluate(model, cell.parts[k]) for k in scored]
+        correct = sum(evaluate(model, cell.parts[k]) for k in scored)
         classify_times.append((time.perf_counter() - t0) * 1e3)
-    correct = sum(r.correct for r in results)
-    total = sum(r.total for r in results)
-    whole_correct = correct + sum(evaluate(model, cell.parts[k]).correct for k in extra)
+    total = sum(cell.parts[k].n_instances for k in scored)
+    whole_correct = correct + sum(evaluate(model, cell.parts[k]) for k in extra)
     return CellRecord(
         fraction=cell.fraction,
         alpha=cell.alpha,
@@ -232,8 +237,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
         norm = fit_normalizer(parts[0])
         parts = tuple(apply_normalizer(p, norm) for p in parts)
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
-    cells = [_Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg),
-                   lvq_cfg, None)]
+    cells = [_Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None)]
     if sel is not None:
         summary = {
             "kept_count": len(sel.kept),
@@ -242,7 +246,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
         }
         parts = tuple(apply_selection(p, sel) for p in parts)
         cells.append(_Cell(fraction, alpha, "reduced", parts, init_codebook(parts[0], lvq_cfg),
-                           lvq_cfg, summary))
+                           summary))
     return cells
 
 
@@ -283,9 +287,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     return SweepReport(cfg, records, environment=env)
 
 
-def timing_stability(report: SweepReport, flag_ratio: float = 3.0) -> dict:
-    """Inter-repeat spread per cell; cells beyond the ratio are flagged as
-    load artifacts."""
+def timing_stability(report: SweepReport) -> dict:
+    """Inter-repeat spread per cell; cells beyond ``FLAG_RATIO`` are flagged
+    as load artifacts."""
     if report.config.repeats < 3:
         raise BenchError("timing_stability needs repeats >= 3")
     cells = []
@@ -300,6 +304,6 @@ def timing_stability(report: SweepReport, flag_ratio: float = 3.0) -> dict:
             "spread_ratio": ratio,
         }
         cells.append(entry)
-        if ratio > flag_ratio:
+        if ratio > FLAG_RATIO:
             flagged.append(entry)
     return {"cells": cells, "flagged": flagged}

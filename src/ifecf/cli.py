@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args):
-    delim = " " if getattr(args, "format", "csv") == "space" else ","
+    delim = " " if args.format == "space" else ","
     cc = args.class_column
     if cc is not None and cc.lstrip("-").isdigit():
         cc = int(cc)
@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
     cfg = _config(LVQConfig, alpha=args.alpha, epochs=args.epochs,
                   prototypes_per_class=args.prototypes, seed=args.seed)
     d = _load(args)
-    model = lvq_train(init_codebook(d, cfg), d, cfg)
+    model = lvq_train(init_codebook(d, cfg), d)
     model.save(args.out)
     print(f"trained {len(model.classes)} prototypes over {cfg.epochs} epochs -> {args.out}")
     return EXIT_OK
@@ -225,9 +225,12 @@ def _add_dataset_args(p):
 
 
 def _add_filter_args(p):
-    p.add_argument("--delta", type=float, default=0.05, help="dispersion threshold")
-    p.add_argument("--tau-c", type=float, default=0.1, help="class-correlation floor")
-    p.add_argument("--tau-f", type=float, default=0.9, help="redundancy ceiling")
+    p.add_argument("--delta", type=float, default=SelectionConfig.delta,
+                   help="dispersion threshold")
+    p.add_argument("--tau-c", type=float, default=SelectionConfig.tau_c,
+                   help="class-correlation floor")
+    p.add_argument("--tau-f", type=float, default=SelectionConfig.tau_f,
+                   help="redundancy ceiling")
 
 
 def build_parser() -> _Parser:
@@ -244,19 +247,21 @@ def build_parser() -> _Parser:
     _add_dataset_args(p)
     p.add_argument("--method", choices=["ifecf", "cfs", "relief"], required=True)
     _add_filter_args(p)
-    p.add_argument("--samples", type=int, default=100, help="relief sample count")
-    p.add_argument("--patience", type=int, default=5, help="best-first search patience")
+    p.add_argument("--samples", type=int, default=SelectionConfig.relief_samples,
+                   help="relief sample count")
+    p.add_argument("--patience", type=int, default=SelectionConfig.bffs_patience,
+                   help="best-first search patience")
     p.add_argument("--relief-threshold", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=SelectionConfig.seed)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("train", help="train an LVQ model")
     _add_dataset_args(p)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--prototypes", type=int, default=1)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--alpha", type=float, default=LVQConfig.alpha)
+    p.add_argument("--epochs", type=int, default=LVQConfig.epochs)
+    p.add_argument("--prototypes", type=int, default=LVQConfig.prototypes_per_class)
+    p.add_argument("--seed", type=int, default=LVQConfig.seed)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=cmd_train)
 
@@ -267,13 +272,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run the split x learning-rate sweep")
     _add_dataset_args(p)
-    p.add_argument("--fractions", type=float, nargs="+",
-                   default=[round(0.1 * i, 1) for i in range(1, 10)])
-    p.add_argument("--alphas", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4, 0.5])
-    p.add_argument("--repeats", type=int, default=5,
+    p.add_argument("--fractions", type=float, nargs="+", default=SweepConfig.fractions)
+    p.add_argument("--alphas", type=float, nargs="+", default=SweepConfig.alphas)
+    p.add_argument("--repeats", type=int, default=SweepConfig.repeats,
                    help="timed classification passes per cell; training runs once")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--epochs", type=int, default=SweepConfig.epochs)
+    p.add_argument("--seed", type=int, default=SweepConfig.seed)
     p.add_argument("--eval-target", choices=["test", "train", "whole"], default="test")
     p.add_argument("--select", action="store_true",
                    help="also run the reduced (filtered) variant")

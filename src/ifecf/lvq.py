@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,8 @@ class LVQConfig:
             raise LVQError("epochs must be >= 1")
         if self.prototypes_per_class < 1:
             raise LVQError("prototypes_per_class must be >= 1")
+        if self.seed < 0:
+            raise LVQError("seed must be >= 0")
 
 
 @dataclass
@@ -154,20 +156,20 @@ def _nonfinite(epoch: int) -> LVQError:
     return LVQError(f"non-finite prototype after epoch {epoch}")
 
 
-def _trained(model: LVQModel, book: np.ndarray, cfg: LVQConfig) -> LVQModel:
-    return LVQModel(book, model.classes.copy(), cfg,
-                    epochs_run=model.epochs_run + cfg.epochs, class_names=model.class_names,
-                    feature_names=model.feature_names)
+def _trained(model: LVQModel, book: np.ndarray) -> LVQModel:
+    return LVQModel(book, model.classes.copy(), model.config,
+                    epochs_run=model.epochs_run + model.config.epochs,
+                    class_names=model.class_names, feature_names=model.feature_names)
 
 
-def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQModel:
-    """Winner-take-all training.
+def train(model: LVQModel, data: Dataset) -> LVQModel:
+    """Winner-take-all training under ``model.config``.
 
     Each epoch visits instances in a seeded shuffled order. The nearest
     prototype is pulled toward same-class instances and pushed away from
     others by the fixed learning rate.
     """
-    cfg = cfg or model.config
+    cfg = model.config
     _check_arity(model, data)
     book = model.codebook.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -179,7 +181,7 @@ def train(model: LVQModel, data: Dataset, cfg: LVQConfig | None = None) -> LVQMo
             book[win] += (cfg.alpha if classes[win] == y[i] else -cfg.alpha) * diff[win]
         if not np.all(np.isfinite(book)):
             raise _nonfinite(epoch + 1)
-    return _trained(model, book, cfg)
+    return _trained(model, book)
 
 
 # Cells with fewer features are zero-padded to this width so that they can
@@ -195,13 +197,13 @@ def _lockstep_width(model: LVQModel) -> int:
     return max(model.n_features, PAD_WIDTH)
 
 
-def cell_groups(models: list[LVQModel], cfgs: list[LVQConfig]) -> list[list[int]]:
+def cell_groups(models: list[LVQModel]) -> list[list[int]]:
     """Cell indices of each group that ``train_cells`` can train in one call:
     equal prototype count, epochs and width (N, or ``PAD_WIDTH`` when N is
     smaller). Groups are ordered by their first cell."""
     groups: dict[tuple, list[int]] = {}
-    for i, (model, cfg) in enumerate(zip(models, cfgs, strict=True)):
-        key = (model.codebook.shape[0], cfg.epochs, _lockstep_width(model))
+    for i, model in enumerate(models):
+        key = (model.codebook.shape[0], model.config.epochs, _lockstep_width(model))
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
@@ -212,11 +214,9 @@ def lockstep_nbytes(model: LVQModel, visits: int) -> int:
     return visits * (_lockstep_width(model) + model.codebook.shape[0]) * 8
 
 
-def train_cells(models: list[LVQModel], datas: list[Dataset],
-                cfgs: list[LVQConfig]) -> list[LVQModel]:
+def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     """Train one group of ``cell_groups`` with one numpy step per visit
-    index; model ``i`` is bit-identical to ``train(models[i], datas[i],
-    cfgs[i])``.
+    index; model ``i`` is bit-identical to ``train(models[i], datas[i])``.
 
     The cells are sorted by row count M, largest first, so the cells that
     still have a row at visit t are a prefix ``[:k]``. Each epoch gathers
@@ -230,7 +230,7 @@ def train_cells(models: list[LVQModel], datas: list[Dataset],
     """
     for model, data in zip(models, datas, strict=True):
         _check_arity(model, data)
-    if len(cell_groups(models, cfgs)) != 1:
+    if len(cell_groups(models)) != 1:
         raise LVQError("train_cells needs one group of cell_groups")
     order = sorted(range(len(models)), key=lambda a: -datas[a].n_instances)
     sizes = [datas[a].n_instances for a in order]
@@ -241,17 +241,18 @@ def train_cells(models: list[LVQModel], datas: list[Dataset],
     xs = np.zeros((sizes[0], cells, width))  # visit t's row of each cell
     coef = np.empty((sizes[0], cells, p, 1))  # its +-alpha for each prototype
     winner = np.eye(p, dtype=bool)[:, :, None]  # winner[r]: the mask of prototype r
-    rngs = [np.random.default_rng(cfgs[a].seed) for a in order]
+    rngs = [np.random.default_rng(models[a].config.seed) for a in order]
     # (k, first visit, end): runs of visits at which exactly k cells have a row
     ends = sizes + [0]
     runs = [(k, ends[k], ends[k - 1]) for k in range(cells, 0, -1) if ends[k] < ends[k - 1]]
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
-    for epoch in range(cfgs[0].epochs):
+    for epoch in range(models[0].config.epochs):
         for c, a in enumerate(order):
             perm = rngs[c].permutation(sizes[c])
             xs[:sizes[c], c, :models[a].n_features] = datas[a].features[perm]
             same = models[a].classes == datas[a].labels[perm, None]
-            coef[:sizes[c], c, :, 0] = np.where(same, cfgs[a].alpha, -cfgs[a].alpha)
+            alpha = models[a].config.alpha
+            coef[:sizes[c], c, :, 0] = np.where(same, alpha, -alpha)
         for k, start, stop in runs:
             group, rows, signs = book[:k], xs[:, :k, None], coef[:, :k]
             for t in range(start, stop):
@@ -269,19 +270,8 @@ def train_cells(models: list[LVQModel], datas: list[Dataset],
         raise exc
     out: list = [None] * cells
     for c, a in enumerate(order):
-        out[a] = _trained(models[a], book[c, :, :models[a].n_features].copy(), cfgs[a])
+        out[a] = _trained(models[a], book[c, :, :models[a].n_features].copy())
     return out
-
-
-def classify(model: LVQModel, x) -> int:
-    """Class of the Euclidean-nearest prototype; ties go to the lowest
-    prototype index (argmin convention)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise LVQError(f"expected vector of length {model.n_features}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise LVQError("non-finite input")
-    return int(classify_batch(model, x[None])[0])
 
 
 # Elements of the (rows, P, N) difference temporary in one classify_batch block.
@@ -306,20 +296,8 @@ def classify_batch(model: LVQModel, features: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class EvalResult:
-    correct: int
-    total: int
-    accuracy: float
-    confusion: np.ndarray = field(repr=False)  # (true, predicted) counts
-
-
-def evaluate(model: LVQModel, test: Dataset) -> EvalResult:
+def evaluate(model: LVQModel, test: Dataset) -> int:
+    """Number of ``test`` rows whose class ``classify_batch`` predicts."""
     if test.n_instances == 0:
         raise LVQError("empty test set")
-    pred = classify_batch(model, test.features)
-    correct = int((pred == test.labels).sum())
-    k = test.class_count
-    conf = np.zeros((k, k), dtype=np.int64)
-    np.add.at(conf, (test.labels, pred), 1)
-    return EvalResult(correct, test.n_instances, correct / test.n_instances, conf)
+    return int((classify_batch(model, test.features) == test.labels).sum())

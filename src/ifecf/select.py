@@ -36,6 +36,8 @@ class SelectionConfig:
             raise SelectionError("relief_samples must be >= 1")
         if self.bffs_patience < 1:
             raise SelectionError("bffs_patience must be >= 1")
+        if self.seed < 0:
+            raise SelectionError("seed must be >= 0")
 
 
 @dataclass

@@ -149,8 +149,8 @@ def test_lvq_separable_gaussians_and_update_factors():
         d = make_dataset(x, labels)
         tr, te = split(d, SplitSpec(0.7, seed=seed))
         cfg = LVQConfig(alpha=0.1, epochs=10, seed=seed)
-        model = lvq_train(init_codebook(tr, cfg), tr, cfg)
-        if evaluate(model, te).accuracy >= 0.95:
+        model = lvq_train(init_codebook(tr, cfg), tr)
+        if evaluate(model, te) / te.n_instances >= 0.95:
             good += 1
 
     factors_ok = True
@@ -162,11 +162,11 @@ def test_lvq_separable_gaussians_and_update_factors():
         base = np.linalg.norm(x - w)
         same = lvq_train(
             LVQModel(w.reshape(1, -1).copy(), np.array([0]), cfg),
-            make_dataset(x.reshape(1, -1), [0], class_names=("0", "1")), cfg,
+            make_dataset(x.reshape(1, -1), [0], class_names=("0", "1")),
         )
         diff = lvq_train(
             LVQModel(w.reshape(1, -1).copy(), np.array([0]), cfg),
-            make_dataset(x.reshape(1, -1), [1], class_names=("0", "1")), cfg,
+            make_dataset(x.reshape(1, -1), [1], class_names=("0", "1")),
         )
         factors_ok &= math.isclose(
             np.linalg.norm(x - same.codebook[0]), (1 - alpha) * base, rel_tol=1e-12
@@ -191,8 +191,8 @@ def test_pima_end_to_end_beats_majority():
         norm = fit_normalizer(tr)
         trn, ten = apply_normalizer(tr, norm), apply_normalizer(te, norm)
         cfg = LVQConfig(alpha=0.1, epochs=20, seed=seed)
-        model = lvq_train(init_codebook(trn, cfg), trn, cfg)
-        if evaluate(model, ten).accuracy > majority_rate:
+        model = lvq_train(init_codebook(trn, cfg), trn)
+        if evaluate(model, ten) / ten.n_instances > majority_rate:
             wins += 1
     elapsed = time.perf_counter() - t0
     report(

@@ -59,6 +59,11 @@ class TestRunSweep:
         assert len(report.records) == 1
         assert 0.0 <= report.records[0].accuracy <= 100.0
 
+    def test_negative_master_seed(self):
+        # cell_seed hashes the master seed, so every cell still gets a seed >= 0
+        d = random_dataset(np.random.default_rng(0), m=60, n=4)
+        assert len(run_sweep(d, small_sweep(seed=-1)).records) == 4
+
     def test_deterministic_accuracy(self):
         rng = np.random.default_rng(1)
         d = random_dataset(rng, m=80, n=5)
@@ -176,7 +181,7 @@ class TestRunSweep:
         d = random_dataset(np.random.default_rng(16), m=60, n=9)
         cfg = small_sweep(selection=SelectionConfig(tau_c=0.3))
 
-        def failing(models, datas, cfgs):
+        def failing(models, datas):
             exc = LVQError(f"{models[0].n_features} wide")
             exc.cell = 2 if models[0].n_features == 9 else 0  # cells 4 and 3
             raise exc
@@ -201,7 +206,7 @@ class TestRunSweep:
         with pytest.raises(BenchError, match="selection failed: no feature left"):
             run_sweep(d, cfg)
 
-        def train_fails(model, data, lvq_cfg):
+        def train_fails(model, data):
             raise LVQError("first cell fails")
 
         selected.clear()

@@ -151,9 +151,9 @@ class TestTrainClassify:
         capsys.readouterr()
         assert main(["classify", str(model_path), str(small_csv)]) == 0
         assert len(calls) == 1
-        res = lvq.evaluate(lvq.LVQModel.load(model_path), load_csv(small_csv))
+        correct = lvq.evaluate(lvq.LVQModel.load(model_path), load_csv(small_csv))
         err = capsys.readouterr().err
-        assert f"accuracy: {res.correct}/50 = {100 * res.accuracy:.2f}%" in err
+        assert f"accuracy: {correct}/50 = {100 * (correct / 50):.2f}%" in err
 
     def _classify(self, tmp_path, capsys, train_text, test_text):
         train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -346,8 +346,10 @@ class TestUsage:
         ["bench", "--fractions", "1.5"],
         ["bench", "--epochs", "0"],
         ["train", "--alpha", "2"],
+        ["train", "--seed", "-1"],
+        ["select", "--method", "relief", "--seed", "-1"],
     ], ids=["select-tau-f", "select-patience", "bench-repeats", "bench-fractions",
-            "bench-epochs", "train-alpha"])
+            "bench-epochs", "train-alpha", "train-seed", "select-seed"])
     def test_bad_option_value_exit_1(self, small_csv, tmp_path, capsys, argv):
         out = ["--out", str(tmp_path / "out")]
         assert main(argv[:1] + [str(small_csv)] + argv[1:] + out) == 1

@@ -10,7 +10,6 @@ from ifecf.lvq import (
     LVQConfig,
     LVQError,
     LVQModel,
-    classify,
     cell_groups,
     classify_batch,
     evaluate,
@@ -58,13 +57,13 @@ class TestTrain:
     def test_attraction_step(self):
         model = LVQModel(np.array([[0.0]]), np.array([0]), LVQConfig(alpha=0.1, epochs=1))
         d = make_dataset([[1.0]], [0], class_names=("0", "1"))
-        trained = train(model, d, LVQConfig(alpha=0.1, epochs=1))
+        trained = train(model, d)
         assert trained.codebook[0, 0] == pytest.approx(0.1)
 
     def test_repulsion_step(self):
         model = LVQModel(np.array([[0.0]]), np.array([0]), LVQConfig(alpha=0.1, epochs=1))
         d = make_dataset([[1.0]], [1], class_names=("0", "1"))
-        trained = train(model, d, LVQConfig(alpha=0.1, epochs=1))
+        trained = train(model, d)
         assert trained.codebook[0, 0] == pytest.approx(-0.1)
 
     def test_contraction_factors_exact(self):
@@ -76,12 +75,12 @@ class TestTrain:
             model = LVQModel(w.reshape(1, -1).copy(), np.array([0]),
                              LVQConfig(alpha=alpha, epochs=1))
             d_same = make_dataset(x.reshape(1, -1), [0], class_names=("0", "1"))
-            after = train(model, d_same, LVQConfig(alpha=alpha, epochs=1))
+            after = train(model, d_same)
             assert np.linalg.norm(x - after.codebook[0]) == pytest.approx(
                 (1 - alpha) * np.linalg.norm(x - w)
             )
             d_diff = make_dataset(x.reshape(1, -1), [1], class_names=("0", "1"))
-            after = train(model, d_diff, LVQConfig(alpha=alpha, epochs=1))
+            after = train(model, d_diff)
             assert np.linalg.norm(x - after.codebook[0]) == pytest.approx(
                 (1 + alpha) * np.linalg.norm(x - w)
             )
@@ -96,16 +95,16 @@ class TestTrain:
         d = make_dataset(x, labels)
         cfg = LVQConfig(alpha=0.3, epochs=3, prototypes_per_class=ppc, seed=k + n)
         model = init_codebook(d, cfg)
-        trained = train(model, d, cfg)
+        trained = train(model, d)
         expected = lvq1_oracle(model.codebook.tolist(), model.classes.tolist(),
                                x.tolist(), labels.tolist(), cfg.alpha, cfg.epochs, cfg.seed)
         assert trained.codebook.tolist() == expected
 
     def test_rejects_cells_of_different_groups(self):
         cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
-        models, datas, cfgs = (list(c) for c in zip(*cells))
+        models, datas = (list(c) for c in zip(*cells))
         with pytest.raises(LVQError, match="one group"):
-            train_cells(models, datas, cfgs)
+            train_cells(models, datas)
 
     def test_arity_mismatch(self):
         rng = np.random.default_rng(3)
@@ -119,13 +118,13 @@ class TestTrain:
         rng = np.random.default_rng(4)
         d = two_gaussians(rng)
         cfg = LVQConfig(seed=9)
-        a = train(init_codebook(d, cfg), d, cfg)
-        b = train(init_codebook(d, cfg), d, cfg)
+        a = train(init_codebook(d, cfg), d)
+        b = train(init_codebook(d, cfg), d)
         assert np.array_equal(a.codebook, b.codebook)
 
 
 def lockstep_cell(seed, n, m, k=3, ppc=1, alpha=0.3, epochs=4, noise=False):
-    """One independent training cell: (initial model, data, config)."""
+    """One independent training cell: (initial model, data)."""
     rng = np.random.default_rng(seed)
     labels = np.resize(np.arange(k), m)[rng.permutation(m)]
     x = rng.normal(size=(m, n))
@@ -133,20 +132,20 @@ def lockstep_cell(seed, n, m, k=3, ppc=1, alpha=0.3, epochs=4, noise=False):
         x += rng.normal(size=(k, n))[labels]
     d = make_dataset(x, labels)
     cfg = LVQConfig(alpha=alpha, epochs=epochs, prototypes_per_class=ppc, seed=seed)
-    return init_codebook(d, cfg), d, cfg
+    return init_codebook(d, cfg), d
 
 
 def assert_cells_match_train(cells):
     """Train each group of ``cell_groups`` with one ``train_cells`` call and
     compare every cell with its own ``train``."""
-    models, datas, cfgs = (list(c) for c in zip(*cells))
+    models, datas = (list(c) for c in zip(*cells))
     got = [None] * len(cells)
-    for group in cell_groups(models, cfgs):
-        trained = train_cells(*[[seq[i] for i in group] for seq in (models, datas, cfgs)])
+    for group in cell_groups(models):
+        trained = train_cells([models[i] for i in group], [datas[i] for i in group])
         for i, out in zip(group, trained):
             got[i] = out
-    for model, data, cfg, out in zip(models, datas, cfgs, got):
-        want = train(model, data, cfg)
+    for model, data, out in zip(models, datas, got):
+        want = train(model, data)
         assert out.codebook.shape == want.codebook.shape
         assert out.codebook.tobytes() == want.codebook.tobytes()
         assert out.classes.tobytes() == want.classes.tobytes()
@@ -159,12 +158,12 @@ class TestTrainCells:
         # widths 1-7 and row counts 9-200 in one zero-padded group
         cells = [lockstep_cell(10 + n, n, m, alpha=0.05 * n)
                  for n, m in zip(range(1, 8), (9, 200, 37, 120, 64, 150, 12))]
-        assert cell_groups(*[[c[i] for c in cells] for i in (0, 2)]) == [list(range(7))]
+        assert cell_groups([model for model, _ in cells]) == [list(range(7))]
         assert_cells_match_train(cells)
 
     def test_unpadded_widths_group_alone(self):
         cells = [lockstep_cell(20 + i, n, 40 + 17 * i) for i, n in enumerate((8, 20, 8, 20, 8, 20))]
-        assert cell_groups(*[[c[i] for c in cells] for i in (0, 2)]) == [[0, 2, 4], [1, 3, 5]]
+        assert cell_groups([model for model, _ in cells]) == [[0, 2, 4], [1, 3, 5]]
         assert_cells_match_train(cells)
 
     @pytest.mark.parametrize("ppc", [1, 3])
@@ -180,7 +179,7 @@ class TestTrainCells:
                  + [lockstep_cell(46 + i, 1 + i % 7, 20 + 9 * i, alpha=0.05 * (i + 1))
                     for i in range(10)])
         cells[5][0].epochs_run = 2  # a model trained before adds its epochs
-        groups = cell_groups(*[[c[i] for c in cells] for i in (0, 2)])
+        groups = cell_groups([model for model, _ in cells])
         assert [len(g) for g in groups] == [1, 2, 3, 10]
         assert_cells_match_train(cells)
 
@@ -195,24 +194,24 @@ class TestTrainCells:
                 train(*slow)
             for cells, epoch in (([healthy[0], slow, healthy[1], fast], 20),
                                  ([healthy[0], fast, healthy[1], slow], 8)):
-                models, datas, cfgs = (list(c) for c in zip(*cells))
+                models, datas = (list(c) for c in zip(*cells))
                 with pytest.raises(LVQError) as grouped:
-                    train_cells(models, datas, cfgs)
+                    train_cells(models, datas)
                 assert str(grouped.value) == f"non-finite prototype after epoch {epoch}"
                 assert grouped.value.cell == 1
         assert str(alone.value) == "non-finite prototype after epoch 20"
 
     def test_rejects_cells_of_different_groups(self):
         cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
-        models, datas, cfgs = (list(c) for c in zip(*cells))
+        models, datas = (list(c) for c in zip(*cells))
         with pytest.raises(LVQError, match="one group"):
-            train_cells(models, datas, cfgs)
+            train_cells(models, datas)
 
     def test_arity_mismatch(self):
-        model, data, cfg = lockstep_cell(60, 3, 20)
+        model, data = lockstep_cell(60, 3, 20)
         other = lockstep_cell(61, 4, 20)[1]
         with pytest.raises(LVQError, match="N=3"):
-            train_cells([model] * 3, [data, other, data], [cfg] * 3)
+            train_cells([model] * 3, [data, other, data])
 
 
 class TestClassify:
@@ -222,26 +221,22 @@ class TestClassify:
         )
 
     def test_on_prototype(self):
-        assert classify(self._model(), [1.0, 1.0]) == 1
+        assert classify_batch(self._model(), np.array([[1.0, 1.0]])).tolist() == [1]
 
     def test_tie_breaks_to_lower_index(self):
-        assert classify(self._model(), [0.5, 0.5]) == 0
+        assert classify_batch(self._model(), np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
         model = self._model()
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         shift = rng.normal(size=2)
         shifted = LVQModel(model.codebook + shift, model.classes, model.config)
-        assert classify(model, x) == classify(shifted, x + shift)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(LVQError, match="non-finite"):
-            classify(self._model(), [np.nan, 0.0])
+        assert classify_batch(model, x).tolist() == classify_batch(shifted, x + shift).tolist()
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(LVQError, match="length 2"):
-            classify(self._model(), [1.0, 1.0, 1.0])
+        with pytest.raises(LVQError, match="feature arity mismatch"):
+            classify_batch(self._model(), np.array([[1.0, 1.0, 1.0]]))
 
     def test_separable_gaussians_accuracy(self):
         good = 0
@@ -250,8 +245,8 @@ class TestClassify:
             d = two_gaussians(rng, m=120, sigma=0.1, sep=1.0)
             tr, te = split(d, SplitSpec(0.7, seed=seed))
             cfg = LVQConfig(alpha=0.1, epochs=10, seed=seed)
-            model = train(init_codebook(tr, cfg), tr, cfg)
-            if evaluate(model, te).accuracy >= 0.95:
+            model = train(init_codebook(tr, cfg), tr)
+            if evaluate(model, te) / te.n_instances >= 0.95:
                 good += 1
         assert good >= 95
 
@@ -260,20 +255,16 @@ class TestEvaluate:
     def test_memorized_single_instance(self):
         model = LVQModel(np.array([[2.0]]), np.array([0]), LVQConfig())
         d = make_dataset([[2.0]], [0], class_names=("0", "1"))
-        assert evaluate(model, d).accuracy == 1.0
+        assert evaluate(model, d) == 1
 
     def test_constant_prediction_balanced(self):
         model = LVQModel(np.array([[0.0]]), np.array([0]), LVQConfig())
         d = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
-        assert evaluate(model, d).accuracy == 0.5
-
-    def test_confusion_counts(self):
+        assert evaluate(model, d) == 2
+        # two prototypes: three rows right, one class-1 row nearer class 0
         model = LVQModel(np.array([[0.0], [10.0]]), np.array([0, 1]), LVQConfig())
         d = make_dataset([[0.0], [0.1], [10.0], [0.2]], [0, 0, 1, 1])
-        res = evaluate(model, d)
-        assert res.confusion[0, 0] == 2
-        assert res.confusion[1, 1] == 1
-        assert res.confusion[1, 0] == 1
+        assert evaluate(model, d) == 3
 
     def test_feature_subset_consistency(self):
         # training on a projected dataset == removing dims from distances
@@ -283,8 +274,8 @@ class TestEvaluate:
         wide = make_dataset(np.hstack([d.features, noise]), d.labels)
         cfg = LVQConfig(epochs=5, seed=7)
         projected = wide.project([0, 1])
-        m1 = train(init_codebook(projected, cfg), projected, cfg)
-        m2 = train(init_codebook(d, cfg), d, cfg)
+        m1 = train(init_codebook(projected, cfg), projected)
+        m2 = train(init_codebook(d, cfg), d)
         assert np.allclose(m1.codebook, m2.codebook)
 
 
@@ -293,15 +284,15 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         d = two_gaussians(rng)
         cfg = LVQConfig(alpha=0.2, epochs=3, seed=1)
-        model = train(init_codebook(d, cfg), d, cfg)
+        model = train(init_codebook(d, cfg), d)
         p = tmp_path / "model.json"
         model.save(p)
         loaded = LVQModel.load(p)
         assert np.array_equal(loaded.codebook, model.codebook)
         assert loaded.config == model.config
         assert loaded.class_names == d.class_names == model.class_names
-        x = rng.normal(size=2)
-        assert classify(loaded, x) == classify(model, x)
+        x = rng.normal(size=(1, 2))
+        assert classify_batch(loaded, x).tolist() == classify_batch(model, x).tolist()
 
     def _saved_doc(self):
         model = LVQModel(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]),
@@ -333,6 +324,7 @@ class TestSerialization:
             ("feature_names", None, "lacks 'feature_names'"),  # a model saved before names
             ("feature_names", ["a"], "feature_names must be 2 strings"),
             ("feature_names", ["a", 1], "feature_names must be 2 strings"),
+            ("config", {"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, key, value, message):
@@ -372,10 +364,10 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         d = two_gaussians(rng, m=30)
         cfg = LVQConfig(epochs=2)
-        model = train(init_codebook(d, cfg), d, cfg)
+        model = train(init_codebook(d, cfg), d)
         batch = classify_batch(model, d.features)
-        scalar = [classify(model, row) for row in d.features]
-        assert batch.tolist() == scalar
+        rows = [classify_batch(model, row[None]) for row in d.features]
+        assert batch.tolist() == np.concatenate(rows).tolist()
 
 
 class TestClassifyBatchBlocks:
