@@ -9,7 +9,6 @@ from .measures import (
     entropy,
     conditional_entropy,
     information_gain,
-    dispersion,
 )
 from .select import SelectionConfig, SelectionResult, ife_cf, cfs_search, relief
 from .lvq import LVQConfig, LVQModel
@@ -24,7 +23,6 @@ __all__ = [
     "entropy",
     "conditional_entropy",
     "information_gain",
-    "dispersion",
     "SelectionConfig",
     "SelectionResult",
     "ife_cf",

@@ -222,7 +222,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
     fraction, alpha = cfg.fractions[fi], cfg.alphas[ai]
     seed = cell_seed(cfg.seed, fi, ai)
     try:
-        parts = split(d, SplitSpec(fraction, seed=seed, stratified=True))
+        parts = split(d, SplitSpec(fraction, seed=seed))
     except ValueError as exc:
         raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
     sel = None

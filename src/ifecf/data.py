@@ -17,6 +17,15 @@ class DataError(ValueError):
     """Raised for malformed input files or invalid dataset operations."""
 
 
+def check_integers(config, names, error: type[Exception]) -> None:
+    """Raise ``error`` unless each named field of ``config`` is an integer;
+    a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -87,7 +96,6 @@ class Dataset:
 class SplitSpec:
     train_fraction: float
     seed: int = 42
-    stratified: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -308,25 +316,15 @@ def _first_bad_cell(path: Path, block, header: list[str], class_idx: int) -> Dat
     raise AssertionError("block parsed cleanly")
 
 
-def write_csv(d: Dataset, path, delimiter: str = ",") -> None:
-    """Write a Dataset back out; values use repr so reloads are bit-exact."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(list(d.feature_names) + ["class"])
-        for i in range(d.n_instances):
-            w.writerow([repr(float(v)) for v in d.features[i]] + [d.class_names[d.labels[i]]])
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
 def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic seeded train/test partition.
+    """Deterministic seeded, stratified train/test partition.
 
-    Plain mode shuffles all indices; stratified mode shuffles within each
-    class and allocates train counts by largest remainder so per-class
-    proportions hold within rounding.
+    Shuffles within each class and allocates train counts by largest
+    remainder so per-class proportions hold within rounding.
     """
     m = d.n_instances
     n_train = _round_half_up(s.train_fraction * m)
@@ -335,42 +333,38 @@ def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
             f"fraction {s.train_fraction} on M={m} leaves an empty partition"
         )
     rng = np.random.default_rng(s.seed)
-    if not s.stratified:
-        order = rng.permutation(m)
-        train_idx, test_idx = order[:n_train], order[n_train:]
-    else:
-        class_rows = [np.flatnonzero(d.labels == c) for c in range(d.class_count)]
-        class_rows = [r for r in class_rows if r.size > 0]
-        if any(r.size < 2 for r in class_rows):
-            raise DataError("stratified split impossible: a class has a single instance")
-        targets = [s.train_fraction * r.size for r in class_rows]
-        counts = [int(math.floor(t)) for t in targets]
-        # clamp so each partition keeps at least one instance per class
-        counts = [min(max(c, 1), r.size - 1) for c, r in zip(counts, class_rows)]
-        remainders = sorted(
-            range(len(class_rows)),
-            key=lambda i: (targets[i] - math.floor(targets[i])),
-            reverse=True,
-        )
-        deficit = n_train - sum(counts)
-        for i in remainders if deficit > 0 else reversed(remainders):
-            if deficit == 0:
-                break
-            if deficit > 0 and counts[i] < class_rows[i].size - 1:
-                counts[i] += 1
-                deficit -= 1
-            elif deficit < 0 and counts[i] > 1:
-                counts[i] -= 1
-                deficit += 1
-        if deficit != 0:
-            raise DataError("stratified split impossible at this fraction")
-        train_parts, test_parts = [], []
-        for rows, c in zip(class_rows, counts):
-            order = rows[rng.permutation(rows.size)]
-            train_parts.append(order[:c])
-            test_parts.append(order[c:])
-        train_idx = np.concatenate(train_parts)
-        test_idx = np.concatenate(test_parts)
+    class_rows = [np.flatnonzero(d.labels == c) for c in range(d.class_count)]
+    class_rows = [r for r in class_rows if r.size > 0]
+    if any(r.size < 2 for r in class_rows):
+        raise DataError("stratified split impossible: a class has a single instance")
+    targets = [s.train_fraction * r.size for r in class_rows]
+    counts = [int(math.floor(t)) for t in targets]
+    # clamp so each partition keeps at least one instance per class
+    counts = [min(max(c, 1), r.size - 1) for c, r in zip(counts, class_rows)]
+    remainders = sorted(
+        range(len(class_rows)),
+        key=lambda i: (targets[i] - math.floor(targets[i])),
+        reverse=True,
+    )
+    deficit = n_train - sum(counts)
+    for i in remainders if deficit > 0 else reversed(remainders):
+        if deficit == 0:
+            break
+        if deficit > 0 and counts[i] < class_rows[i].size - 1:
+            counts[i] += 1
+            deficit -= 1
+        elif deficit < 0 and counts[i] > 1:
+            counts[i] -= 1
+            deficit += 1
+    if deficit != 0:
+        raise DataError("stratified split impossible at this fraction")
+    train_parts, test_parts = [], []
+    for rows, c in zip(class_rows, counts):
+        order = rows[rng.permutation(rows.size)]
+        train_parts.append(order[:c])
+        test_parts.append(order[c:])
+    train_idx = np.concatenate(train_parts)
+    test_idx = np.concatenate(test_parts)
     return d.take(np.sort(train_idx)), d.take(np.sort(test_idx))
 
 

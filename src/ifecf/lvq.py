@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_integers
 
 
 class LVQError(ValueError):
@@ -25,10 +25,7 @@ class LVQConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("epochs", "prototypes_per_class", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise LVQError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, ("epochs", "prototypes_per_class", "seed"), LVQError)
         if not 0.0 < self.alpha < 1.0:
             raise LVQError(f"alpha must be in (0,1), got {self.alpha}")
         if self.epochs < 1:

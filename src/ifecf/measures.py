@@ -1,6 +1,6 @@
 """Statistical measures: linear correlation, entropy, conditional entropy,
-information gain, coefficient of dispersion, and the class-relevance score
-built from them."""
+information gain, coefficient of dispersion, and the column-wise class- and
+feature-correlation kernels built from them."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ PROB_SUM_TOL = 1e-9
 
 class MeasureError(ValueError):
     """Raised when a measure's preconditions are violated (zero variance,
-    zero mean, malformed distribution)."""
+    malformed distribution)."""
 
 
 def correlation(x, y) -> float:
@@ -99,20 +99,6 @@ def dispersion_scores(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def dispersion(x) -> float:
-    """Coefficient of dispersion |sigma/mean| of one vector.
-
-    Raises MeasureError on a zero mean (undefined ratio).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 1:
-        raise MeasureError("dispersion needs at least 1 point")
-    score = float(dispersion_scores(x.reshape(-1, 1))[0])
-    if math.isnan(score):
-        raise MeasureError("zero mean: coefficient of dispersion undefined")
-    return score
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     mean: float
@@ -121,27 +107,55 @@ class FeatureStats:
     c_correlation: float
 
 
-def c_correlation(x, labels, class_count: int) -> float:
-    """Feature-to-class relevance score.
+def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column centred and scaled to unit norm, and the mask of the columns
+    that vary; a column that holds one value is all 0."""
+    scaled = features - features.mean(axis=0)
+    norms = np.sqrt((scaled**2).sum(axis=0))
+    ok = (norms > 0) & (features != features[:1]).any(axis=0)
+    np.divide(scaled, norms, out=scaled, where=ok)
+    scaled[:, ~ok] = 0.0
+    return scaled, ok
 
-    Two-class data uses |Pearson r| against the integer class id; more
-    classes use information gain (order-free) on the feature cut into 10
-    equal-frequency bins (one bin per value when it has 10 or fewer distinct
-    values; a value equal to a cut falls in the lower bin). Constant
-    features score 0 by convention.
+
+def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
+    """Pairwise |Pearson r| between features; zero-variance rows/cols are 0."""
+    scaled, ok = _unit_columns(features)
+    r = scaled.T @ scaled
+    np.abs(r, out=r)
+    np.fill_diagonal(r, ok)
+    return np.clip(r, 0.0, 1.0, out=r)
+
+
+def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
+    """Feature-to-class relevance score of each column of the (M, N) matrix.
+
+    Two-class data uses |Pearson r| against the integer class id, all columns
+    in one pass; more classes use information gain (order-free) on each
+    feature cut into 10 equal-frequency bins (one bin per value when it has
+    10 or fewer distinct values; a value equal to a cut falls in the lower
+    bin). Constant features score 0 by convention; zero-variance labels
+    raise MeasureError on two classes unless every feature is constant.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if np.all(x == x[0]):
-        return 0.0
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
     if class_count == 2:
-        return abs(correlation(x, np.asarray(labels, dtype=np.float64)))
-    ranks = np.unique(x)
-    if ranks.size > 10:
-        cutpts = np.unique(np.quantile(np.sort(x), np.linspace(0, 1, 11)[1:-1]))
-    else:
-        cutpts = (ranks[:-1] + ranks[1:]) / 2.0
-    xd = np.searchsorted(cutpts, x, side="left")
-    return information_gain(np.asarray(labels), xd)
+        scaled, ok = _unit_columns(features)
+        y, y_ok = _unit_columns(labels.astype(np.float64).reshape(-1, 1))
+        if ok.any() and not y_ok[0]:
+            raise MeasureError("zero-variance input to correlation")
+        r = np.abs(scaled.T @ y[:, 0])
+        return np.minimum(r, 1.0, out=r)
+    scores = np.zeros(features.shape[1])
+    for j in range(features.shape[1]):  # a constant column is one bin: gain 0
+        x = features[:, j]
+        ranks = np.unique(x)
+        if ranks.size > 10:
+            cutpts = np.unique(np.quantile(np.sort(x), np.linspace(0, 1, 11)[1:-1]))
+        else:
+            cutpts = (ranks[:-1] + ranks[1:]) / 2.0
+        scores[j] = information_gain(labels, np.searchsorted(cutpts, x, side="left"))
+    return scores
 
 
 def feature_stats(d: Dataset) -> list[FeatureStats]:
@@ -149,12 +163,13 @@ def feature_stats(d: Dataset) -> list[FeatureStats]:
     means = d.features.mean(axis=0)
     stds = d.features.std(axis=0)
     disp = dispersion_scores(d.features)
+    cc = c_correlation(d.features, d.labels, d.class_count)
     return [
         FeatureStats(
             float(means[j]),
             float(stds[j]),
             None if math.isnan(disp[j]) else float(disp[j]),
-            c_correlation(d.features[:, j], d.labels, d.class_count),
+            float(cc[j]),
         )
         for j in range(d.n_features)
     ]

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
-from .measures import c_correlation, dispersion_scores
+from .data import Dataset, check_integers
+from .measures import c_correlation, dispersion_scores, f_correlation_matrix
 # perfbench/tracer.py counts calls made through select.correlation by that name.
 from .measures import correlation  # noqa: F401
 
@@ -30,6 +30,7 @@ class SelectionConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_integers(self, ("relief_samples", "bffs_patience", "seed"), SelectionError)
         if self.tau_f > 1.0:
             raise SelectionError("tau_f must be <= 1")
         if self.relief_samples < 1:
@@ -67,21 +68,6 @@ def merit_value(k: int, r_cf: float, r_ff: float) -> float:
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
 
 
-def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
-    """Pairwise |Pearson r| between features; zero-variance rows/cols are 0."""
-    dev = features - features.mean(axis=0)
-    norms = np.sqrt((dev**2).sum(axis=0))
-    ok = norms > 0
-    scaled = np.zeros_like(dev)
-    scaled[:, ok] = dev[:, ok] / norms[ok]
-    r = scaled.T @ scaled
-    np.abs(r, out=r)
-    np.fill_diagonal(r, 1.0)
-    r[~ok, :] = 0.0
-    r[:, ~ok] = 0.0
-    return np.clip(r, 0.0, 1.0, out=r)
-
-
 def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     """Three sequential elimination passes.
 
@@ -104,11 +90,11 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
         else:
             alive.append(j)
 
-    cc = {j: c_correlation(train.features[:, j], train.labels, train.class_count)
-          for j in alive}
+    scores = c_correlation(train.features[:, alive], train.labels, train.class_count)
+    cc = dict(zip(alive, scores.tolist()))
     survivors = []
     for j in alive:
-        if abs(cc[j]) < cfg.tau_c:
+        if cc[j] < cfg.tau_c:
             result.eliminated.append((j, "low-c-correlation", cc[j]))
         else:
             survivors.append(j)
@@ -146,8 +132,7 @@ def cfs_merit(train: Dataset, subset) -> float:
         raise SelectionError("subset index out of range")
     k = len(subset)
     x = train.features[:, subset]
-    r_cf = sum(abs(c_correlation(x[:, i], train.labels, train.class_count))
-               for i in range(k)) / k
+    r_cf = float(c_correlation(x, train.labels, train.class_count).sum()) / k
     r_ff = 0.0
     if k > 1:
         r_ff = float(np.triu(f_correlation_matrix(x), 1).sum()) / (k * (k - 1) / 2)
@@ -164,8 +149,7 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     child's merit costs one row of the |r| matrix over the parent's members.
     """
     n = train.n_features
-    cc = [c_correlation(train.features[:, j], train.labels, train.class_count)
-          for j in range(n)]
+    cc = c_correlation(train.features, train.labels, train.class_count).tolist()
     rmat = f_correlation_matrix(train.features)
     trace: list[tuple[tuple[int, ...], float]] = []
     # (-merit, subset, sum of |r_cf|, sum of pairwise r_ff); subsets are unique,
@@ -188,7 +172,7 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
             if child in seen:
                 continue
             seen.add(child)
-            child_cf = sum_cf + abs(cc[f])
+            child_cf = sum_cf + cc[f]
             child_ff = sum_ff + float(row_sums[f])
             m = merit_value(k, child_cf / k, child_ff / pairs if k > 1 else 0.0)
             trace.append((child, m))

@@ -1,10 +1,11 @@
+import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifecf.data import Dataset, write_csv
+from ifecf.data import Dataset
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,6 +17,15 @@ def make_dataset(features, labels, class_names=None):
         class_names = tuple(str(c) for c in range(labels.max() + 1))
     names = tuple(f"f{j}" for j in range(features.shape[1]))
     return Dataset(features, labels, names, class_names)
+
+
+def write_csv(d, path, delimiter=","):
+    """Write a Dataset back out; values use repr so reloads are bit-exact."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, delimiter=delimiter)
+        w.writerow(list(d.feature_names) + ["class"])
+        for i in range(d.n_instances):
+            w.writerow([repr(float(v)) for v in d.features[i]] + [d.class_names[d.labels[i]]])
 
 
 def random_dataset(rng, m=40, n=5, classes=2):

@@ -10,27 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_dataset, pima_like, random_dataset
+from conftest import make_dataset, pima_like, random_dataset, write_csv
 from ifecf.bench import SweepConfig, run_sweep
 from ifecf.cli import main as cli_main
-from ifecf.data import SplitSpec, apply_normalizer, fit_normalizer, split, write_csv
+from ifecf.data import SplitSpec, apply_normalizer, fit_normalizer, split
 from ifecf.lvq import LVQConfig, LVQModel, evaluate, init_codebook
 from ifecf.lvq import train as lvq_train
 from ifecf.measures import (
     conditional_entropy,
     correlation,
-    dispersion,
     dispersion_scores,
     entropy,
+    f_correlation_matrix,
     information_gain,
 )
-from ifecf.select import (
-    SelectionConfig,
-    cfs_search,
-    f_correlation_matrix,
-    merit_value,
-    relief,
-)
+from ifecf.select import SelectionConfig, cfs_search, merit_value, relief
 from oracles import (
     cond_entropy_oracle,
     corr_oracle,
@@ -76,7 +70,7 @@ def test_measure_correctness_vs_oracle():
         )
 
         v = rng.uniform(0.5, 10.0, size=m)
-        worst = max(worst, abs(dispersion(v) - dispersion_oracle(list(v))))
+        worst = max(worst, abs(dispersion_scores(v[:, None])[0] - dispersion_oracle(list(v))))
     elapsed = time.perf_counter() - t0
     report(
         "measure correctness (1000 randomized inputs, tol 1e-9)",

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, write_csv
 from ifecf import __version__, cli, lvq
 from ifecf.cli import main
-from ifecf.data import load_csv, write_csv
+from ifecf.data import load_csv
 from ifecf.measures import FeatureStats
 from ifecf.select import SelectionConfig, cfs_search
 from oracles import exhaustive_search

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, write_csv
 from ifecf import data
 from ifecf.data import (
     DataError,
@@ -17,7 +17,6 @@ from ifecf.data import (
     fit_normalizer,
     load_csv,
     split,
-    write_csv,
 )
 from oracles import load_csv_oracle
 
@@ -353,7 +352,7 @@ class TestSplit:
         rng = np.random.default_rng(2)
         labels = np.array([0] * 30 + [1] * 6)
         d = make_dataset(rng.normal(size=(36, 2)), labels)
-        train, test = split(d, SplitSpec(0.5, seed=4, stratified=True))
+        train, test = split(d, SplitSpec(0.5, seed=4))
         for part in (train, test):
             assert set(part.labels.tolist()) == {0, 1}
         assert train.n_instances == 18
@@ -361,22 +360,21 @@ class TestSplit:
     def test_stratified_single_instance_class(self):
         d = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
         with pytest.raises(DataError, match="single instance"):
-            split(d, SplitSpec(0.5, stratified=True))
+            split(d, SplitSpec(0.5))
 
     @settings(max_examples=50, deadline=None)
     @given(
         m=st.integers(4, 60),
         frac=st.floats(0.1, 0.9),
         seed=st.integers(0, 2**32),
-        stratified=st.booleans(),
     )
-    def test_partition_is_exact(self, m, frac, seed, stratified):
+    def test_partition_is_exact(self, m, frac, seed):
         rng = np.random.default_rng(seed % 1000)
         labels = np.array([i % 2 for i in range(m)])
         feats = np.arange(m, dtype=float).reshape(-1, 1)
         d = make_dataset(feats, labels)
         try:
-            train, test = split(d, SplitSpec(frac, seed=seed, stratified=stratified))
+            train, test = split(d, SplitSpec(frac, seed=seed))
         except DataError:
             return  # degenerate fraction for this m
         seen = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())

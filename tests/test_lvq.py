@@ -100,12 +100,6 @@ class TestTrain:
                                x.tolist(), labels.tolist(), cfg.alpha, cfg.epochs, cfg.seed)
         assert trained.codebook.tolist() == expected
 
-    def test_rejects_cells_of_different_groups(self):
-        cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
-        models, datas = (list(c) for c in zip(*cells))
-        with pytest.raises(LVQError, match="one group"):
-            train_cells(models, datas)
-
     def test_arity_mismatch(self):
         rng = np.random.default_rng(3)
         d = two_gaussians(rng)

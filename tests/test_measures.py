@@ -11,7 +11,7 @@ from ifecf.measures import (
     c_correlation,
     conditional_entropy,
     correlation,
-    dispersion,
+    dispersion_scores,
     entropy,
     feature_stats,
     information_gain,
@@ -134,6 +134,11 @@ class TestInformationGain:
         assert -1e-12 <= ig_ab <= min(ha, hb) + 1e-9
 
 
+def dispersion(x) -> float:
+    """``dispersion_scores`` of one vector."""
+    return float(dispersion_scores(np.asarray(x, dtype=np.float64)[:, None])[0])
+
+
 class TestDispersion:
     def test_constant(self):
         assert dispersion([3.0, 3.0, 3.0]) == 0.0
@@ -144,9 +149,8 @@ class TestDispersion:
         assert dispersion([1, 2, 3, 4]) == pytest.approx(expected, abs=1e-12)
         assert dispersion([1, 2, 3, 4]) == pytest.approx(0.4472135954999579)
 
-    def test_zero_mean_error(self):
-        with pytest.raises(MeasureError, match="zero mean"):
-            dispersion([-1.0, 1.0])
+    def test_zero_mean_is_nan(self):
+        assert math.isnan(dispersion([-1.0, 1.0]))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), c=st.floats(0.01, 100))
@@ -165,7 +169,7 @@ class TestDiscretizer:
         x = rng.permutation(40).astype(float)  # 40 distinct values: 10 bins of 4
         labels = rng.integers(0, 3, size=40)
         bins = [int(v) // 4 for v in x]
-        assert c_correlation(x, labels, 3) == pytest.approx(
+        assert c_correlation(x[:, None], labels, 3)[0] == pytest.approx(
             info_gain_oracle(list(labels), bins), abs=1e-12
         )
 
@@ -177,41 +181,80 @@ class TestDiscretizer:
         upper = [v // 2 if v < 20 else 9 for v in range(21)]
         ig_lower = info_gain_oracle(list(labels), lower)
         assert abs(ig_lower - info_gain_oracle(list(labels), upper)) > 1e-3
-        assert c_correlation(x, labels, 3) == pytest.approx(ig_lower, abs=1e-12)
+        assert c_correlation(x[:, None], labels, 3)[0] == pytest.approx(ig_lower, abs=1e-12)
 
     def test_few_distinct_values(self):
         rng = np.random.default_rng(22)
         x = rng.choice([1.5, 2.0, 7.0, 9.0, 9.5, 11.0, 12.0, 13.0, 20.0, 21.0], size=60)
         labels = rng.integers(0, 4, size=60)
-        assert c_correlation(x, labels, 4) == pytest.approx(
+        assert c_correlation(x[:, None], labels, 4)[0] == pytest.approx(
             info_gain_oracle(list(labels), list(x)), abs=1e-12
         )
 
 
 class TestCCorrelation:
     def test_two_class_uses_abs_pearson(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
         labels = np.array([0, 0, 1, 1])
-        assert c_correlation(x, labels, 2) == pytest.approx(
-            abs(corr_oracle(list(x), [0, 0, 1, 1]))
+        assert c_correlation(x, labels, 2)[0] == pytest.approx(
+            abs(corr_oracle(list(x[:, 0]), [0, 0, 1, 1]))
         )
 
     def test_constant_feature_scores_zero(self):
-        assert c_correlation(np.ones(4), np.array([0, 1, 0, 1]), 2) == 0.0
+        assert c_correlation(np.ones((4, 1)), np.array([0, 1, 0, 1]), 2)[0] == 0.0
 
     def test_multiclass_uses_ig(self):
-        x = np.array([1.0, 1.1, 5.0, 5.1, 9.0, 9.1])
+        x = np.array([[1.0], [1.1], [5.0], [5.1], [9.0], [9.1]])
         labels = np.array([0, 0, 1, 1, 2, 2])
-        score = c_correlation(x, labels, 3)
+        score = c_correlation(x, labels, 3)[0]
         assert score > 0.5  # perfectly separable: high gain
 
     def test_multiclass_order_free(self):
-        x = np.array([1.0, 1.1, 5.0, 5.1, 9.0, 9.1])
+        x = np.array([[1.0], [1.1], [5.0], [5.1], [9.0], [9.1]])
         labels = np.array([0, 0, 1, 1, 2, 2])
         relabeled = np.array([2, 2, 0, 0, 1, 1])
-        assert c_correlation(x, labels, 3) == pytest.approx(
-            c_correlation(x, relabeled, 3), abs=1e-12
+        assert c_correlation(x, labels, 3)[0] == pytest.approx(
+            c_correlation(x, relabeled, 3)[0], abs=1e-12
         )
+
+    @pytest.mark.parametrize("classes", [2, 3, 4])
+    def test_columns_match_oracles(self, classes):
+        # columns of 40 distinct values (10 bins of 4 on more than two
+        # classes), of 10 or fewer values (one bin each), and one constant
+        rng = np.random.default_rng(40 + classes)
+        labels = rng.integers(0, classes, size=40)
+        labels[:classes] = np.arange(classes)
+        x = np.column_stack(
+            [rng.permutation(40).astype(float) for _ in range(3)]
+            + [rng.choice([1.5, 2.0, 7.0, 9.0, 11.0, 20.0], size=40) for _ in range(2)]
+            + [np.full(40, 3.0)]
+        )
+        x[:, 0] = np.argsort(np.argsort(labels + rng.uniform(size=40)))  # ranks follow the class
+        scores = c_correlation(x, labels, classes)
+        assert scores.shape == (6,)
+        for j in range(6):
+            col = x[:, j].tolist()
+            if j == 5:
+                expected = 0.0
+            elif classes == 2:
+                expected = abs(corr_oracle(col, labels.tolist()))
+            elif j < 3:
+                ranks = {v: i for i, v in enumerate(sorted(col))}
+                expected = info_gain_oracle(labels.tolist(), [ranks[v] // 4 for v in col])
+            else:
+                expected = info_gain_oracle(labels.tolist(), col)
+            assert scores[j] == pytest.approx(expected, abs=1e-12)
+
+        perm = rng.permutation(6)
+        np.testing.assert_allclose(c_correlation(x[:, perm], labels, classes), scores[perm],
+                                   rtol=0, atol=1e-15)
+
+        same = np.zeros(40, dtype=np.int64)
+        if classes == 2:
+            with pytest.raises(MeasureError, match="zero-variance"):
+                c_correlation(x, same, classes)
+        else:  # one class carries no information
+            assert c_correlation(x, same, classes).tolist() == [0.0] * 6
 
 
 class TestFeatureStats:

@@ -11,12 +11,12 @@ from ifecf.select import (
     apply_selection,
     cfs_merit,
     cfs_search,
-    f_correlation_matrix,
     ife_cf,
     merit_value,
     relief,
 )
 from ifecf import select
+from ifecf.measures import f_correlation_matrix
 from oracles import (
     dispersion_oracle,
     exhaustive_search,
@@ -30,6 +30,14 @@ def open_config(**kw):
     base = dict(delta=0.0, tau_c=0.0, tau_f=1.0)
     base.update(kw)
     return SelectionConfig(**base)
+
+
+class TestSelectionConfig:
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("relief_samples", 2.5),
+                                              ("seed", "x"), ("bffs_patience", True)])
+    def test_rejects_non_integer(self, field, value):
+        with pytest.raises(SelectionError, match=f"{field} must be an integer"):
+            SelectionConfig(**{field: value})
 
 
 class TestIfeCf:
@@ -116,10 +124,9 @@ class TestMerit:
         d = random_dataset(rng, m=30, n=3)
         from ifecf.measures import c_correlation
 
+        expected = c_correlation(d.features, d.labels, d.class_count)
         for j in range(3):
-            m = cfs_merit(d, [j])
-            expected = abs(c_correlation(d.features[:, j], d.labels, d.class_count))
-            assert m == pytest.approx(expected, abs=1e-12)
+            assert cfs_merit(d, [j]) == pytest.approx(expected[j], abs=1e-12)
 
     def test_formula_against_oracle(self):
         rng = np.random.default_rng(8)
