@@ -7,14 +7,14 @@ import hashlib
 import platform
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 # perfbench/tracer.py wraps split, fit_normalizer, apply_normalizer, ife_cf,
 # apply_selection, init_codebook, lvq_train and evaluate here by name, and
 # run_sweep looks each up at call time: keep every one of them bound.
-from .data import Dataset, SplitSpec, apply_normalizer, fit_normalizer, split
+from .data import Dataset, SplitSpec, apply_normalizer, check_integers, fit_normalizer, split
 from .lvq import (LVQConfig, LVQError, LVQModel, cell_groups, evaluate, init_codebook,
                   lockstep_nbytes, train_cells)
 from .lvq import train as lvq_train
@@ -35,8 +35,8 @@ BATCH_BYTES = 8 << 20
 # call took 0.60-0.86x the time of two ``train`` calls (N 7-20, P 2-5,
 # M 77-2000, one vCPU, numpy 2.4.6). The value stays 3 because
 # perfbench/tracer.py wraps ``lvq_train`` and not ``train_cells``: at 2, the
-# tiny tall input of perfbench/smoke.py (2 cells, both padded to width 7)
-# would train out of sight of its "trace sees lvq.train" check. Lower it once
+# tiny tall input of perfbench/smoke.py (one 2-cell group) would train out
+# of sight of its "trace sees lvq.train" check. Lower it once
 # ``train_cells`` has a span.
 LOCKSTEP_MIN_CELLS = 3
 # timing_stability flags a cell whose slowest classify pass takes more than
@@ -60,6 +60,7 @@ class SweepConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        check_integers(self, ("repeats", "epochs", "seed"), BenchError)
         if not all(0.0 < f < 1.0 for f in self.fractions):
             raise BenchError("fractions must lie in (0,1)")
         if not all(0.0 < a < 1.0 for a in self.alphas):
@@ -152,22 +153,28 @@ class _Cell:
     parts: tuple[Dataset, Dataset]
     model: LVQModel
     selection: dict | None
+    width: int  # the dataset's N, which no cell of a sweep exceeds
+    # the selection summary of the reduced variant when the filter kept
+    # every column: that variant is this cell, and its record a copy
+    twin: dict | None = None
 
     @property
     def nbytes(self) -> int:
         """The partitions, plus a bound on the cell's share of the lockstep
         arrays: its group visits no more rows an epoch than its largest
-        train partition, which is no larger than this cell's whole dataset."""
+        train partition, which is no larger than this cell's whole dataset,
+        and pads them to no more than the dataset's width."""
         rows = sum(part.n_instances for part in self.parts)
-        return rows * self.model.n_features * 8 + lockstep_nbytes(self.model, rows)
+        return rows * self.model.n_features * 8 + lockstep_nbytes(self.model, rows, self.width)
 
 
 def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
     """Train the cells, one ``train_cells`` call per group of
     ``cell_groups`` or one ``lvq_train`` call per cell of a smaller group,
     and evaluate them in order. Each record's ``train_ms`` is the wall time
-    of the call that trained it. If cells fail, the error of the first in
-    batch order is raised, as training them one by one would."""
+    of the call that trained it. A cell with a twin gives its reduced
+    record too. If cells fail, the error of the first in batch order is
+    raised, as training them one by one would."""
     trained: list = [None] * len(batch)
     train_ms = [0.0] * len(batch)
     errors: dict[int, LVQError] = {}
@@ -189,7 +196,13 @@ def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
                 trained[i], train_ms[i] = model, ms
     if errors:
         raise errors[min(errors)]
-    return [_evaluate(c, model, ms, cfg) for c, model, ms in zip(batch, trained, train_ms)]
+    records = []
+    for cell, model, ms in zip(batch, trained, train_ms):
+        records.append(_evaluate(cell, model, ms, cfg))
+        if cell.twin is not None:
+            records.append(replace(records[-1], variant="reduced", selection=cell.twin,
+                                   classify_ms_repeats=list(records[-1].classify_ms_repeats)))
+    return records
 
 
 def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -> CellRecord:
@@ -218,7 +231,9 @@ def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -
 
 def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
     """The original and, with a selection config, the reduced variant of
-    grid cell (fraction ``fi``, alpha ``ai``), ready to train."""
+    grid cell (fraction ``fi``, alpha ``ai``), ready to train. When the
+    filter keeps every column, the reduced variant is the original cell's
+    twin and is not prepared again."""
     fraction, alpha = cfg.fractions[fi], cfg.alphas[ai]
     seed = cell_seed(cfg.seed, fi, ai)
     try:
@@ -237,17 +252,21 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
         norm = fit_normalizer(parts[0])
         parts = tuple(apply_normalizer(p, norm) for p in parts)
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
-    cells = [_Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None)]
-    if sel is not None:
-        summary = {
-            "kept_count": len(sel.kept),
-            "kept": sel.kept,
-            "eliminated_count": len(sel.eliminated),
-        }
-        parts = tuple(apply_selection(p, sel) for p in parts)
-        cells.append(_Cell(fraction, alpha, "reduced", parts, init_codebook(parts[0], lvq_cfg),
-                           summary))
-    return cells
+    original = _Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None,
+                     d.n_features)
+    if sel is None:
+        return [original]
+    summary = {
+        "kept_count": len(sel.kept),
+        "kept": sel.kept,
+        "eliminated_count": len(sel.eliminated),
+    }
+    if sel.kept == list(range(d.n_features)):
+        original.twin = summary
+        return [original]
+    parts = tuple(apply_selection(p, sel) for p in parts)
+    return [original, _Cell(fraction, alpha, "reduced", parts, init_codebook(parts[0], lvq_cfg),
+                            summary, d.n_features)]
 
 
 def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
@@ -261,7 +280,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
 
     Cells are prepared in grid order and trained in batches of about
     ``BATCH_BYTES``, with ``lvq.train_cells`` for each lockstep group; the
-    records come out in grid order.
+    records come out in grid order. A reduced variant that keeps every
+    column reuses the original's model: its record copies the original's
+    accuracy and timing fields.
 
     Accuracy fields are a pure function of (dataset, config); timing fields
     come from a monotonic clock and vary run to run.

@@ -214,12 +214,16 @@ def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
 
 
 def _line_bound(path: Path) -> int:
-    """An upper bound on the number of lines of ``path``. It reads 64 KiB
-    chunks, which malloc serves from its heap: freeing a larger, mmap-ed one
-    would raise malloc's mmap threshold for the rest of the process."""
+    """An upper bound on the number of lines of ``path``: one more than its
+    count of LF and CR bytes. It reads 64 KiB chunks, which malloc serves
+    from its heap: freeing a larger, mmap-ed one would raise malloc's mmap
+    threshold for the rest of the process."""
+    bound = 1
     with path.open("rb") as fh:
-        chunks = iter(lambda: fh.read(1 << 16), b"")
-        return 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
+        while chunk := fh.read(1 << 16):
+            codes = np.frombuffer(chunk, np.uint8)
+            bound += int(np.count_nonzero(codes == 10)) + int(np.count_nonzero(codes == 13))
+    return bound
 
 
 def _blocks(path: Path, fh, delimiter: str, block_rows: int, lineno: int, rows=None):

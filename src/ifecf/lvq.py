@@ -181,34 +181,35 @@ def train(model: LVQModel, data: Dataset) -> LVQModel:
     return _trained(model, book)
 
 
-# Cells with fewer features are zero-padded to this width so that they can
-# share a lockstep group; a padded column adds a +0.0 square. On numpy 2.4.6,
-# padding rows of 1-6 features to 7 columns kept the bits of every squared
-# distance, and the sum over up to 7 columns equalled adding the columns one
-# by one; padding to 8, 9, 12 or 16 columns changed thousands of them. Wider
-# cells are never padded. Other numpy versions are unchecked.
-PAD_WIDTH = 7
+def sum_width(n: int, width: int) -> int:
+    """Columns of a row of ``n`` features, zero-padded to ``width``, over
+    which ``np.add.reduce`` gives the bits of the unpadded row's sum.
 
-
-def _lockstep_width(model: LVQModel) -> int:
-    return max(model.n_features, PAD_WIDTH)
+    numpy's pairwise sum adds the columns past the last full block of 8 one
+    at a time, so zero columns in the same block add +0.0: below 128
+    columns any width up to ``n | 7`` keeps the bits, and the widest is
+    taken so that cells whose widths share a block share one sum. From 128
+    columns on, the sum splits the row at a point that moves with the
+    width, so only ``n`` itself is safe. ``tests/test_lvq.py`` checks the
+    rule on the installed numpy."""
+    return n if n >= 128 else min(n | 7, width)
 
 
 def cell_groups(models: list[LVQModel]) -> list[list[int]]:
     """Cell indices of each group that ``train_cells`` can train in one call:
-    equal prototype count, epochs and width (N, or ``PAD_WIDTH`` when N is
-    smaller). Groups are ordered by their first cell."""
+    equal prototype count and epochs. Groups are ordered by their first
+    cell."""
     groups: dict[tuple, list[int]] = {}
     for i, model in enumerate(models):
-        key = (model.codebook.shape[0], model.config.epochs, _lockstep_width(model))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((model.codebook.shape[0], model.config.epochs), []).append(i)
     return list(groups.values())
 
 
-def lockstep_nbytes(model: LVQModel, visits: int) -> int:
+def lockstep_nbytes(model: LVQModel, visits: int, width: int) -> int:
     """Bytes of a cell's share of the per-epoch arrays of ``train_cells``
-    when its group makes ``visits`` visits an epoch."""
-    return visits * (_lockstep_width(model) + model.codebook.shape[0]) * 8
+    when its group makes ``visits`` visits an epoch and pads its rows to
+    ``width`` columns."""
+    return visits * (width + model.codebook.shape[0]) * 8
 
 
 def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
@@ -216,10 +217,13 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     index; model ``i`` is bit-identical to ``train(models[i], datas[i])``.
 
     The cells are sorted by row count M, largest first, so the cells that
-    still have a row at visit t are a prefix ``[:k]``. Each epoch gathers
-    every cell's rows in its own seeded order, with the +-alpha coefficient
-    of each (row, prototype) pair; each visit then updates the winning
-    prototype of all k cells with a few whole-group numpy operations.
+    still have a row at visit t are a prefix ``[:k]``. Rows and prototypes
+    are zero-padded to the widest cell. Each epoch gathers every cell's rows
+    in its own seeded order, with the +-alpha coefficient of each (row,
+    prototype) pair; each visit then updates the winning prototype of all k
+    cells with a few whole-group numpy operations. A cell's squared
+    distances are summed over its first ``sum_width`` columns: one sum for
+    each distinct width among the k cells.
 
     If cells go non-finite, the ``LVQError`` that ``train`` raises for the
     first of them in argument order is raised, with that cell's index as
@@ -231,30 +235,43 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
         raise LVQError("train_cells needs one group of cell_groups")
     order = sorted(range(len(models)), key=lambda a: -datas[a].n_instances)
     sizes = [datas[a].n_instances for a in order]
-    cells, p, width = len(order), models[0].codebook.shape[0], _lockstep_width(models[0])
+    widths = [models[a].n_features for a in order]
+    cells, p, width = len(order), models[0].codebook.shape[0], max(widths)
+    sums = np.array([sum_width(n, width) for n in widths])
     book = np.zeros((cells, p, width))
     for c, a in enumerate(order):
-        book[c, :, :models[a].n_features] = models[a].codebook
+        book[c, :, :widths[c]] = models[a].codebook
     xs = np.zeros((sizes[0], cells, width))  # visit t's row of each cell
     coef = np.empty((sizes[0], cells, p, 1))  # its +-alpha for each prototype
     winner = np.eye(p, dtype=bool)[:, :, None]  # winner[r]: the mask of prototype r
     rngs = [np.random.default_rng(models[a].config.seed) for a in order]
-    # (k, first visit, end): runs of visits at which exactly k cells have a row
+    # runs of visits at which exactly k cells have a row: (k, first visit,
+    # end, the widest sum of those cells, and each narrower sum with the
+    # mask of the cells whose distances it gives)
     ends = sizes + [0]
-    runs = [(k, ends[k], ends[k - 1]) for k in range(cells, 0, -1) if ends[k] < ends[k - 1]]
+    runs = []
+    for k in range(cells, 0, -1):
+        if ends[k] < ends[k - 1]:
+            summed = sorted(set(sums[:k].tolist()), reverse=True)
+            runs.append((k, ends[k], ends[k - 1], summed[0],
+                         [(s, (sums[:k] == s)[:, None]) for s in summed[1:]]))
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
     for epoch in range(models[0].config.epochs):
         for c, a in enumerate(order):
             perm = rngs[c].permutation(sizes[c])
-            xs[:sizes[c], c, :models[a].n_features] = datas[a].features[perm]
+            xs[:sizes[c], c, :widths[c]] = datas[a].features[perm]
             same = models[a].classes == datas[a].labels[perm, None]
             alpha = models[a].config.alpha
             coef[:sizes[c], c, :, 0] = np.where(same, alpha, -alpha)
-        for k, start, stop in runs:
+        for k, start, stop, widest, narrower in runs:
             group, rows, signs = book[:k], xs[:, :k, None], coef[:, :k]
             for t in range(start, stop):
                 diff = rows[t] - group
-                win = (diff**2).sum(axis=2).argmin(axis=1)
+                sq = diff**2
+                d2 = np.add.reduce(sq[:, :, :widest], axis=2)
+                for s, mask in narrower:
+                    np.copyto(d2, np.add.reduce(sq[:, :, :s], axis=2), where=mask)
+                win = d2.argmin(axis=1)
                 # only each cell's winner moves; the other prototypes keep their bits
                 np.add(group, signs[t] * diff, out=group, where=winner.take(win, axis=0))
         for c in np.flatnonzero(~np.isfinite(book).all(axis=(1, 2))).tolist():
@@ -267,7 +284,7 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
         raise exc
     out: list = [None] * cells
     for c, a in enumerate(order):
-        out[a] = _trained(models[a], book[c, :, :models[a].n_features].copy())
+        out[a] = _trained(models[a], book[c, :, :widths[c]].copy())
     return out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ class TestSweepConfig:
             SweepConfig(epochs=0)
         with pytest.raises(BenchError):
             SweepConfig(eval_target="validation")
+
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", 2.5), ("repeats", True), ("epochs", 2.5), ("epochs", "5"),
+        ("seed", 1.5), ("seed", "x"), ("seed", None),
+    ])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(BenchError, match=f"{field} must be an integer"):
+            SweepConfig(**{field: value})
+
+    def test_negative_seed_is_valid(self):
+        assert SweepConfig(seed=-3).seed == -3  # cell_seed hashes it
 
 
 class TestRunSweep:
@@ -152,15 +165,16 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench, "lvq_train", counting_train)
         monkeypatch.setattr(bench, "train_cells", counting_cells)
-        # every cell counts 60 rows x (4 features + 7 padded + 2 prototypes)
-        # float64s: batches of 3, 3 and 2 cells, so two lockstep groups and two
-        # single cells
-        monkeypatch.setattr(bench, "BATCH_BYTES", 3 * 60 * (4 + 7 + 2) * 8)
-        selection = SelectionConfig(tau_c=0.0)
+        # a cell counts 60 rows x (its features + 4 padded + 2 prototypes)
+        # float64s. The third reduced cell keeps all 4 columns, so it is the
+        # twin of its original and not a cell of its own: the other 7 cells
+        # go in batches of 3, 3 and 1, two lockstep groups and one single cell
+        monkeypatch.setattr(bench, "BATCH_BYTES", 2 * 60 * (4 + 4 + 2) * 8)
+        selection = SelectionConfig(tau_c=0.2)
         report = run_sweep(d, small_sweep(repeats=3, selection=selection))
         assert len(report.records) == 8
-        assert all(r.selection["kept_count"] == 4 for r in report.records[1::2])
-        assert trained == {"single": 2, "lockstep": 6}
+        assert [r.selection["kept_count"] for r in report.records[1::2]] == [2, 3, 4, 3]
+        assert trained == {"single": 1, "lockstep": 6}
         assert all("train_ms_repeats" not in r.to_dict() for r in report.records)
         assert all(len(r.classify_ms_repeats) == 3 for r in report.records)
         once = run_sweep(d, small_sweep(repeats=1, selection=selection))
@@ -176,18 +190,26 @@ class TestRunSweep:
         assert accuracy_fields(lockstep) == accuracy_fields(single)
 
     def test_first_failing_cell_in_grid_order_raises(self, monkeypatch):
-        # groups: the 9-wide originals (cells 0, 2, 4, 6), the 8-wide reduced
-        # cell 1 and the padded reduced cells 3, 5 and 7
+        # the cells of a sweep share (P, epochs), so here the reduced cells
+        # get one more epoch, which makes two groups: the 9-wide originals
+        # (cells 0, 2, 4, 6) and the narrower reduced cells 1, 3, 5 and 7
         d = random_dataset(np.random.default_rng(16), m=60, n=9)
         cfg = small_sweep(selection=SelectionConfig(tau_c=0.3))
+        init = bench.init_codebook
+
+        def init_reduced_longer(part, lvq_cfg):
+            if part.n_features < 9:
+                lvq_cfg = replace(lvq_cfg, epochs=lvq_cfg.epochs + 1)
+            return init(part, lvq_cfg)
 
         def failing(models, datas):
-            exc = LVQError(f"{models[0].n_features} wide")
-            exc.cell = 2 if models[0].n_features == 9 else 0  # cells 4 and 3
+            exc = LVQError(f"{models[0].config.epochs} epochs")
+            exc.cell = 2 if models[0].n_features == 9 else 1  # cells 4 and 3
             raise exc
 
+        monkeypatch.setattr(bench, "init_codebook", init_reduced_longer)
         monkeypatch.setattr(bench, "train_cells", failing)
-        with pytest.raises(LVQError, match="^7 wide$"):
+        with pytest.raises(LVQError, match="^6 epochs$"):
             run_sweep(d, cfg)
 
     def test_earlier_training_error_beats_later_preparation_error(self, monkeypatch):
@@ -219,6 +241,48 @@ class TestRunSweep:
         report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep())
         assert len({r.train_ms for r in report.records}) == 1
         assert report.records[0].train_ms > 0
+
+    def test_reduced_twin_of_an_original_that_keeps_every_column(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(18), m=60, n=4)
+        selection = SelectionConfig(tau_c=0.1)
+        calls = {"apply_selection": 0, "init_codebook": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(bench, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(bench, name, counting)
+        report = run_sweep(d, small_sweep(repeats=3, selection=selection))
+        originals, reduced = report.records[0::2], report.records[1::2]
+        assert [r.variant for r in reduced] == ["reduced"] * 4
+        twins = [i for i, r in enumerate(reduced) if r.selection["kept"] == [0, 1, 2, 3]]
+        assert twins == [1, 2, 3]
+        # only the cell that drops a column selects and initializes again
+        assert calls == {"apply_selection": 2, "init_codebook": 4 + 1}
+        for i in twins:
+            assert reduced[i].selection == {"kept_count": 4, "kept": [0, 1, 2, 3],
+                                            "eliminated_count": 0}
+            assert originals[i].selection is None
+            copy = replace(reduced[i], variant="original", selection=None)
+            assert copy == originals[i]  # accuracy and timing fields alike
+            assert reduced[i].classify_ms_repeats is not originals[i].classify_ms_repeats
+        # the twins' fields are what preparing and training the reduced cell
+        # again gives
+        monkeypatch.undo()
+        prepare = bench._prepare
+
+        def prepare_without_twins(*args):
+            cells = prepare(*args)
+            if cells[0].twin is not None:
+                parts = tuple(part.project(cells[0].twin["kept"]) for part in cells[0].parts)
+                model = bench.init_codebook(parts[0], cells[0].model.config)
+                cells.append(replace(cells[0], variant="reduced", parts=parts, model=model,
+                                     selection=cells[0].twin, twin=None))
+                cells[0].twin = None
+            return cells
+
+        monkeypatch.setattr(bench, "_prepare", prepare_without_twins)
+        retrained = run_sweep(d, small_sweep(selection=selection))
+        assert accuracy_fields(retrained) == accuracy_fields(report)
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_reduced_equals_original_on_projected_data(self, normalize):

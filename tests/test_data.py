@@ -197,6 +197,20 @@ class TestLoadCsvBlocks:
         assert peak <= 3 * loaded.features.nbytes
 
 
+class TestLineBound:
+    @pytest.mark.parametrize("text, bound", [
+        (b"a,class\r\n1,x\r\n2,y\r\n", 7),  # CRLF: each line end counts twice
+        (b"a,class\r1,x\r2,y\r", 4),  # lone CR line ends
+        (b"a,class\n1,x\n2,y", 3),  # no final newline
+        (b"a,class\r\n" + b"1,x\r\n2,y\r\n" * 8000, 32003),  # two 64 KiB chunks
+    ])
+    def test_counts_line_ends(self, tmp_path, text, bound):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text)
+        assert data._line_bound(p) == bound
+        assert load_csv(p).features[:2].tolist() == [[1.0], [2.0]]
+
+
 def _assert_matches_oracle(path, class_idx=-1):
     header, feats, tokens = load_csv_oracle(path, class_idx)
     class_idx %= len(header)

@@ -61,8 +61,7 @@ def test_sweep_matches_golden(pima_csv, tmp_path, target, normalize):
 def write_golden(directory: Path) -> None:
     import tempfile
 
-    from conftest import pima_like
-    from ifecf.data import write_csv
+    from conftest import pima_like, write_csv
 
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "pima_like.csv"

@@ -129,6 +129,17 @@ def lockstep_cell(seed, n, m, k=3, ppc=1, alpha=0.3, epochs=4, noise=False):
     return init_codebook(d, cfg), d
 
 
+def tie_cell(n, tiny, m=12):
+    """A cell whose first visit ties its two prototypes at squared distance 9
+    under ``train``'s sum: prototype 0's distance also has two half-ulp
+    squares, at columns ``tiny``, which a sum that adds them to each other
+    first rounds up to 9 + ulp, handing the visit to prototype 1."""
+    book = np.zeros((2, n))
+    book[0, 0], book[0, list(tiny)], book[1, 0] = 3.0, 2.0**-25, -3.0
+    data = make_dataset(np.zeros((m, n)), np.arange(m) % 2)
+    return LVQModel(book, np.array([0, 1]), LVQConfig(alpha=0.25, epochs=4, seed=n)), data
+
+
 def assert_cells_match_train(cells):
     """Train each group of ``cell_groups`` with one ``train_cells`` call and
     compare every cell with its own ``train``."""
@@ -155,9 +166,27 @@ class TestTrainCells:
         assert cell_groups([model for model, _ in cells]) == [list(range(7))]
         assert_cells_match_train(cells)
 
-    def test_unpadded_widths_group_alone(self):
+    def test_widths_8_and_20_share_one_group(self):
+        # the 8-wide cells sum the first 15 of the 20 padded columns
         cells = [lockstep_cell(20 + i, n, 40 + 17 * i) for i, n in enumerate((8, 20, 8, 20, 8, 20))]
-        assert cell_groups([model for model, _ in cells]) == [[0, 2, 4], [1, 3, 5]]
+        assert cell_groups([model for model, _ in cells]) == [list(range(6))]
+        assert_cells_match_train(cells)
+
+    def test_mixed_widths_1_to_135_share_one_group(self):
+        # every summed width: the n | 7 bucket below 128 columns, n itself
+        # from 128 on, and the group's width 135 for the widest cell
+        widths = (1, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 100, 127, 128, 129, 135)
+        cells = [lockstep_cell(70 + i, n, 12 + 7 * (i % 5), alpha=0.02 * (i + 1), epochs=2)
+                 for i, n in enumerate(widths)]
+        assert cell_groups([model for model, _ in cells]) == [list(range(len(widths)))]
+        assert [lvq.sum_width(n, 135) for n in widths] == \
+            [7, 7, 7, 7, 15, 15, 15, 23, 23, 63, 71, 103, 127, 128, 129, 135]
+        assert_cells_match_train(cells)
+
+    def test_summed_widths_decide_near_ties(self):
+        # summed over the group's 20 columns, the 5- and 13-wide cells would
+        # give their first visit to the other prototype
+        cells = [tie_cell(5, (2, 3)), tie_cell(13, (10, 11)), lockstep_cell(65, 20, 30, k=2)]
         assert_cells_match_train(cells)
 
     @pytest.mark.parametrize("ppc", [1, 3])
@@ -167,10 +196,11 @@ class TestTrainCells:
         assert_cells_match_train(cells)
 
     def test_group_sizes_one_two_three_ten(self):
-        cells = ([lockstep_cell(40, 20, 50)]
-                 + [lockstep_cell(41 + i, 8, 30 + 5 * i) for i in range(2)]
-                 + [lockstep_cell(43 + i, 9, 45 - 7 * i) for i in range(3)]
-                 + [lockstep_cell(46 + i, 1 + i % 7, 20 + 9 * i, alpha=0.05 * (i + 1))
+        # groups by (prototype count, epochs): (3, 2), (6, 4), (3, 3), (3, 4)
+        cells = ([lockstep_cell(40, 20, 50, epochs=2)]
+                 + [lockstep_cell(41 + i, 8, 30 + 5 * i, ppc=2) for i in range(2)]
+                 + [lockstep_cell(43 + i, 9 + 4 * i, 45 - 7 * i, epochs=3) for i in range(3)]
+                 + [lockstep_cell(46 + i, 1 + 3 * i, 20 + 9 * i, alpha=0.05 * (i + 1))
                     for i in range(10)])
         cells[5][0].epochs_run = 2  # a model trained before adds its epochs
         groups = cell_groups([model for model, _ in cells])
@@ -196,16 +226,46 @@ class TestTrainCells:
         assert str(alone.value) == "non-finite prototype after epoch 20"
 
     def test_rejects_cells_of_different_groups(self):
-        cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 9, 20), lockstep_cell(64, 8, 20)]
-        models, datas = (list(c) for c in zip(*cells))
-        with pytest.raises(LVQError, match="one group"):
-            train_cells(models, datas)
+        for odd in (dict(epochs=5), dict(ppc=2)):  # epochs or prototype count differ
+            cells = [lockstep_cell(62, 8, 20), lockstep_cell(63, 8, 20, **odd),
+                     lockstep_cell(64, 8, 20)]
+            models, datas = (list(c) for c in zip(*cells))
+            with pytest.raises(LVQError, match="one group"):
+                train_cells(models, datas)
 
     def test_arity_mismatch(self):
         model, data = lockstep_cell(60, 3, 20)
         other = lockstep_cell(61, 4, 20)[1]
         with pytest.raises(LVQError, match="N=3"):
             train_cells([model] * 3, [data, other, data])
+
+
+class TestSumWidth:
+    def test_padded_sums_keep_the_bits(self):
+        # the rule train_cells sums by, on the installed numpy: a row of n
+        # squares zero-padded to any width, summed over its first
+        # sum_width columns, gives the bits of train's sum of the n squares
+        rng = np.random.default_rng(80)
+        for n in range(1, 141):
+            sq = (rng.random((12, n)) * 10.0 ** rng.integers(-3, 4, (12, n))) ** 2
+            want = sq.sum(axis=1).tobytes()
+            for width in range(n, 141):
+                padded = np.zeros((3, 4, width))
+                padded[..., :n] = sq.reshape(3, 4, n)
+                s = lvq.sum_width(n, width)
+                assert np.add.reduce(padded[..., :s], axis=2).tobytes() == want, (n, width)
+                dense = np.ascontiguousarray(padded[..., :s])
+                assert np.add.reduce(dense, axis=2).tobytes() == want, (n, width)
+
+    @pytest.mark.parametrize("n, wider", [(5, 8), (13, 16), (100, 104), (130, 144)])
+    def test_summing_across_a_block_changes_bits(self, n, wider):
+        # past n | 7 (or past n from 128 on) the zero columns regroup the sum
+        rng = np.random.default_rng(n)
+        x = rng.random((400, n)) * 10.0 ** rng.integers(-3, 4, (400, n))
+        padded = np.zeros((400, wider))
+        padded[:, :n] = x
+        assert lvq.sum_width(n, wider) < wider
+        assert not np.array_equal(np.add.reduce(padded, axis=1), np.add.reduce(x, axis=1))
 
 
 class TestClassify:
