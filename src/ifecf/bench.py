@@ -15,8 +15,8 @@ import numpy as np
 # apply_selection, init_codebook, lvq_train and evaluate here by name, and
 # run_sweep looks each up at call time: keep every one of them bound.
 from .data import Dataset, SplitSpec, apply_normalizer, check_integers, fit_normalizer, split
-from .lvq import (LVQConfig, LVQError, LVQModel, cell_groups, evaluate, init_codebook,
-                  lockstep_nbytes, train_cells)
+from .lvq import (LVQConfig, LVQError, LVQModel, evaluate, init_codebook, lockstep_nbytes,
+                  train_cells)
 from .lvq import train as lvq_train
 from .select import SelectionConfig, SelectionError, apply_selection, ife_cf
 
@@ -30,12 +30,12 @@ _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1
 # run_sweep trains and evaluates the cells it has prepared once they hold this
 # many bytes (``_Cell.nbytes``), so its memory stays bounded as M grows.
 BATCH_BYTES = 8 << 20
-# Groups of ``lvq.cell_groups`` with fewer cells train cell by cell through
-# ``lvq_train``. Lockstep would not be slower at 2: a 2-cell ``train_cells``
-# call took 0.60-0.86x the time of two ``train`` calls (N 7-20, P 2-5,
-# M 77-2000, one vCPU, numpy 2.4.6). The value stays 3 because
+# A batch of fewer cells trains cell by cell through ``lvq_train``. Lockstep
+# would not be slower at 2: a 2-cell ``train_cells`` call took 0.52-0.61x
+# the time of two ``train`` calls (medians of 15, two runs; N 7-20, P 2-5,
+# M 77-2000, one vCPU of a Xeon, numpy 2.4.6). The value stays 3 because
 # perfbench/tracer.py wraps ``lvq_train`` and not ``train_cells``: at 2, the
-# tiny tall input of perfbench/smoke.py (one 2-cell group) would train out
+# tiny tall input of perfbench/smoke.py (one 2-cell batch) would train out
 # of sight of its "trace sees lvq.train" check. Lower it once
 # ``train_cells`` has a span.
 LOCKSTEP_MIN_CELLS = 3
@@ -169,33 +169,24 @@ class _Cell:
 
 
 def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
-    """Train the cells, one ``train_cells`` call per group of
-    ``cell_groups`` or one ``lvq_train`` call per cell of a smaller group,
-    and evaluate them in order. Each record's ``train_ms`` is the wall time
-    of the call that trained it. A cell with a twin gives its reduced
-    record too. If cells fail, the error of the first in batch order is
-    raised, as training them one by one would."""
-    trained: list = [None] * len(batch)
-    train_ms = [0.0] * len(batch)
-    errors: dict[int, LVQError] = {}
-    for group in cell_groups([c.model for c in batch]):
-        calls = [group] if len(group) >= LOCKSTEP_MIN_CELLS else [[i] for i in group]
-        for call in calls:
-            cells = [batch[i] for i in call]
+    """Train the cells, with one ``train_cells`` call or, below
+    ``LOCKSTEP_MIN_CELLS`` cells, one ``lvq_train`` call per cell, and
+    evaluate them in order. Each record's ``train_ms`` is the wall time of
+    the call that trained it. A cell with a twin gives its reduced record
+    too. The cells of a sweep share their prototype count (every class has
+    rows in each train partition) and epochs, so they make one group of
+    ``lvq.cell_groups``. If cells fail, the error of the first in batch
+    order propagates."""
+    trained, train_ms = [], []
+    if len(batch) >= LOCKSTEP_MIN_CELLS:
+        t0 = time.perf_counter()
+        trained = train_cells([c.model for c in batch], [c.parts[0] for c in batch])
+        train_ms = [(time.perf_counter() - t0) * 1e3] * len(batch)
+    else:
+        for cell in batch:  # seen by the tracer as lvq.train
             t0 = time.perf_counter()
-            try:
-                if len(cells) == 1:  # seen by the tracer as lvq.train
-                    models = [lvq_train(cells[0].model, cells[0].parts[0])]
-                else:
-                    models = train_cells([c.model for c in cells], [c.parts[0] for c in cells])
-            except LVQError as exc:  # train_cells gives its failing cell's index in the call
-                errors[call[getattr(exc, "cell", 0)]] = exc
-                continue
-            ms = (time.perf_counter() - t0) * 1e3
-            for i, model in zip(call, models):
-                trained[i], train_ms[i] = model, ms
-    if errors:
-        raise errors[min(errors)]
+            trained.append(lvq_train(cell.model, cell.parts[0]))
+            train_ms.append((time.perf_counter() - t0) * 1e3)
     records = []
     for cell, model, ms in zip(batch, trained, train_ms):
         records.append(_evaluate(cell, model, ms, cfg))
@@ -279,7 +270,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     equals normalizing the projected ones.
 
     Cells are prepared in grid order and trained in batches of about
-    ``BATCH_BYTES``, with ``lvq.train_cells`` for each lockstep group; the
+    ``BATCH_BYTES``, with one ``lvq.train_cells`` call per batch; the
     records come out in grid order. A reduced variant that keeps every
     column reuses the original's model: its record copies the original's
     accuracy and timing fields.
@@ -304,7 +295,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
                     records.extend(_run_batch(batch, cfg))
                     batch = []
     records.extend(_run_batch(batch, cfg))
-    env = f"{platform.platform()} python {platform.python_version()} numpy {np.__version__}"
+    # platform.platform() would start a ``uname -p`` process; these read os.uname()
+    env = (f"{platform.system()}-{platform.release()}-{platform.machine()}"
+           f" python {platform.python_version()} numpy {np.__version__}")
     return SweepReport(cfg, records, environment=env)
 
 

@@ -205,11 +205,20 @@ def cell_groups(models: list[LVQModel]) -> list[list[int]]:
     return list(groups.values())
 
 
+# Visits whose rows and coefficients ``train_cells`` repeats over the
+# prototypes and columns at a time.
+CHUNK_VISITS = 32
+
+
 def lockstep_nbytes(model: LVQModel, visits: int, width: int) -> int:
-    """Bytes of a cell's share of the per-epoch arrays of ``train_cells``
-    when its group makes ``visits`` visits an epoch and pads its rows to
-    ``width`` columns."""
-    return visits * (width + model.codebook.shape[0]) * 8
+    """Bytes of a cell's share of the arrays of ``train_cells`` when its
+    group makes ``visits`` visits an epoch and pads its rows to ``width``
+    columns: its rows and its +-alpha coefficients, gathered each epoch
+    (visits x (width + P) float64s), the same for ``CHUNK_VISITS`` visits
+    repeated over the prototypes and columns, and its share of the codebook
+    and the step's buffers."""
+    p = model.codebook.shape[0]
+    return 8 * (visits * (width + p) + p * ((2 * CHUNK_VISITS + 4) * width + 4))
 
 
 def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
@@ -220,8 +229,10 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     still have a row at visit t are a prefix ``[:k]``. Rows and prototypes
     are zero-padded to the widest cell. Each epoch gathers every cell's rows
     in its own seeded order, with the +-alpha coefficient of each (row,
-    prototype) pair; each visit then updates the winning prototype of all k
-    cells with a few whole-group numpy operations. A cell's squared
+    prototype) pair. ``CHUNK_VISITS`` visits at a time, both are repeated
+    over the prototypes and columns, so that each visit updates the winning
+    prototype of all k cells with a few numpy operations on arrays of one
+    shape, which write into buffers allocated once. A cell's squared
     distances are summed over its first ``sum_width`` columns: one sum for
     each distinct width among the k cells.
 
@@ -243,6 +254,12 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
         book[c, :, :widths[c]] = models[a].codebook
     xs = np.zeros((sizes[0], cells, width))  # visit t's row of each cell
     coef = np.empty((sizes[0], cells, p, 1))  # its +-alpha for each prototype
+    # the step's buffers; a run of k active cells uses their first k entries
+    rows, signs = np.empty((2, CHUNK_VISITS, cells, p, width))  # xs and coef, repeated
+    diff, sq, step = np.empty((3, cells, p, width))
+    d2, part = np.empty((2, cells, p))
+    win = np.empty(cells, dtype=np.intp)
+    mask = np.empty((cells, p, 1), dtype=bool)
     winner = np.eye(p, dtype=bool)[:, :, None]  # winner[r]: the mask of prototype r
     rngs = [np.random.default_rng(models[a].config.seed) for a in order]
     # runs of visits at which exactly k cells have a row: (k, first visit,
@@ -255,6 +272,8 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
             summed = sorted(set(sums[:k].tolist()), reverse=True)
             runs.append((k, ends[k], ends[k - 1], summed[0],
                          [(s, (sums[:k] == s)[:, None]) for s in summed[1:]]))
+    subtract, multiply, add, reduce = np.subtract, np.multiply, np.add, np.add.reduce
+    copyto, take = np.copyto, winner.take
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
     for epoch in range(models[0].config.epochs):
         for c, a in enumerate(order):
@@ -264,16 +283,27 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
             alpha = models[a].config.alpha
             coef[:sizes[c], c, :, 0] = np.where(same, alpha, -alpha)
         for k, start, stop, widest, narrower in runs:
-            group, rows, signs = book[:k], xs[:, :k, None], coef[:, :k]
-            for t in range(start, stop):
-                diff = rows[t] - group
-                sq = diff**2
-                d2 = np.add.reduce(sq[:, :, :widest], axis=2)
-                for s, mask in narrower:
-                    np.copyto(d2, np.add.reduce(sq[:, :, :s], axis=2), where=mask)
-                win = d2.argmin(axis=1)
-                # only each cell's winner moves; the other prototypes keep their bits
-                np.add(group, signs[t] * diff, out=group, where=winner.take(win, axis=0))
+            group, dk, sk, uk, d2k, pk, wk, mk = (
+                buf[:k] for buf in (book, diff, sq, step, d2, part, win, mask))
+            summed, argmin = sk[:, :, :widest], d2k.argmin
+            partial = [(sk[:, :, :s], cut) for s, cut in narrower]
+            for t in range(start, stop, CHUNK_VISITS):
+                n = min(CHUNK_VISITS, stop - t)
+                copyto(rows[:n, :k], xs[t:t + n, :k, None])
+                copyto(signs[:n, :k], coef[t:t + n, :k])
+                for x, sign in zip(rows[:n, :k], signs[:n, :k]):
+                    subtract(x, group, out=dk)
+                    multiply(dk, dk, out=sk)
+                    reduce(summed, axis=2, out=d2k)
+                    for columns, cut in partial:
+                        reduce(columns, axis=2, out=pk)
+                        copyto(d2k, pk, where=cut)
+                    argmin(axis=1, out=wk)
+                    # the indices are in range; "clip" lets take write into mk unbuffered
+                    take(wk, axis=0, out=mk, mode="clip")
+                    multiply(sign, dk, out=uk)
+                    # only each cell's winner moves; the other prototypes keep their bits
+                    add(group, uk, out=group, where=mk)
         for c in np.flatnonzero(~np.isfinite(book).all(axis=(1, 2))).tolist():
             failed.setdefault(order[c], epoch + 1)
             book[c] = 0.0  # keeps a failed cell finite and quiet; its result is dropped

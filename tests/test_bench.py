@@ -1,3 +1,5 @@
+import platform
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from ifecf.bench import (
     run_sweep,
     timing_stability,
 )
-from ifecf.lvq import LVQError
+from ifecf.lvq import LVQConfig, LVQError, init_codebook, lockstep_nbytes
 from ifecf.select import SelectionConfig, SelectionError
 
 
@@ -165,11 +167,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench, "lvq_train", counting_train)
         monkeypatch.setattr(bench, "train_cells", counting_cells)
-        # a cell counts 60 rows x (its features + 4 padded + 2 prototypes)
-        # float64s. The third reduced cell keeps all 4 columns, so it is the
-        # twin of its original and not a cell of its own: the other 7 cells
-        # go in batches of 3, 3 and 1, two lockstep groups and one single cell
-        monkeypatch.setattr(bench, "BATCH_BYTES", 2 * 60 * (4 + 4 + 2) * 8)
+        # a cell counts its 60 rows and its share of the lockstep arrays at
+        # 60 visits and 4 columns. The third reduced cell keeps all 4
+        # columns, so it is the twin of its original and not a cell of its
+        # own. With room for two original cells, the other 7 cells go in
+        # batches of 3, 3 and 1: two lockstep groups and one single cell
+        model = init_codebook(d, LVQConfig())
+        monkeypatch.setattr(bench, "BATCH_BYTES", 2 * (60 * 4 * 8 + lockstep_nbytes(model, 60, 4)))
         selection = SelectionConfig(tau_c=0.2)
         report = run_sweep(d, small_sweep(repeats=3, selection=selection))
         assert len(report.records) == 8
@@ -190,27 +194,46 @@ class TestRunSweep:
         assert accuracy_fields(lockstep) == accuracy_fields(single)
 
     def test_first_failing_cell_in_grid_order_raises(self, monkeypatch):
-        # the cells of a sweep share (P, epochs), so here the reduced cells
-        # get one more epoch, which makes two groups: the 9-wide originals
-        # (cells 0, 2, 4, 6) and the narrower reduced cells 1, 3, 5 and 7
+        # cells 3 and 4 of the 8 in grid order fail: the reduced cell of grid
+        # cell (0, 1) and the original of (1, 0). Trained in one lockstep
+        # call or one by one, cell 3's error is raised
         d = random_dataset(np.random.default_rng(16), m=60, n=9)
         cfg = small_sweep(selection=SelectionConfig(tau_c=0.3))
-        init = bench.init_codebook
+        grid = {cell_seed(cfg.seed, fi, ai): (fi, ai) for fi in range(2) for ai in range(2)}
+        real_train, real_cells = bench.lvq_train, bench.train_cells
 
-        def init_reduced_longer(part, lvq_cfg):
-            if part.n_features < 9:
-                lvq_cfg = replace(lvq_cfg, epochs=lvq_cfg.epochs + 1)
-            return init(part, lvq_cfg)
+        def check(model):
+            cell = f"{grid[model.config.seed]} {'original' if model.n_features == 9 else 'reduced'}"
+            if cell in ("(0, 1) reduced", "(1, 0) original"):
+                raise LVQError(cell)
 
-        def failing(models, datas):
-            exc = LVQError(f"{models[0].config.epochs} epochs")
-            exc.cell = 2 if models[0].n_features == 9 else 1  # cells 4 and 3
-            raise exc
+        def failing_train(model, data):
+            check(model)
+            return real_train(model, data)
 
-        monkeypatch.setattr(bench, "init_codebook", init_reduced_longer)
-        monkeypatch.setattr(bench, "train_cells", failing)
-        with pytest.raises(LVQError, match="^6 epochs$"):
-            run_sweep(d, cfg)
+        def failing_cells(models, datas):
+            for model in models:  # the first failing cell in argument order
+                check(model)
+            return real_cells(models, datas)
+
+        monkeypatch.setattr(bench, "lvq_train", failing_train)
+        monkeypatch.setattr(bench, "train_cells", failing_cells)
+        for batch_bytes in (bench.BATCH_BYTES, 1):  # one batch of 8 cells, or 8 of one
+            monkeypatch.setattr(bench, "BATCH_BYTES", batch_bytes)
+            with pytest.raises(LVQError, match=r"^\(0, 1\) reduced$"):
+                run_sweep(d, cfg)
+
+    def test_environment_starts_no_process(self, monkeypatch):
+        # platform.platform() starts a `uname -p` process on its first call
+        def no_process(*args, **kwargs):
+            raise AssertionError("run_sweep started a process")
+
+        monkeypatch.setattr(platform, "platform", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        report = run_sweep(random_dataset(np.random.default_rng(19), m=40, n=3), small_sweep())
+        assert report.environment == (
+            f"{platform.system()}-{platform.release()}-{platform.machine()}"
+            f" python {platform.python_version()} numpy {np.__version__}")
 
     def test_earlier_training_error_beats_later_preparation_error(self, monkeypatch):
         d = random_dataset(np.random.default_rng(17), m=60, n=4)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,23 @@ class TestTrainCells:
                 assert str(grouped.value) == f"non-finite prototype after epoch {epoch}"
                 assert grouped.value.cell == 1
         assert str(alone.value) == "non-finite prototype after epoch 20"
+
+    def test_memory_within_lockstep_nbytes(self):
+        # rows 2000 to 100 and widths 20 to 3 in one group of 5 classes
+        cells = [lockstep_cell(90 + i, n, m, k=5, epochs=2)
+                 for i, (n, m) in enumerate(((20, 2000), (8, 2000), (20, 1500), (3, 100)))]
+        models, datas = (list(c) for c in zip(*cells))
+        bound = sum(lvq.lockstep_nbytes(model, 2000, 20) for model in models)
+        # each epoch gathers a cell's rows into a temporary before it copies
+        # them into place; 64 KiB covers its permutation and the Python objects
+        slack = max(d.features.nbytes for d in datas) + (64 << 10)
+        tracemalloc.start()
+        try:
+            train_cells(models, datas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound < peak <= bound + slack
 
     def test_rejects_cells_of_different_groups(self):
         for odd in (dict(epochs=5), dict(ppc=2)):  # epochs or prototype count differ
