@@ -30,14 +30,14 @@ _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1
 # run_sweep trains and evaluates the cells it has prepared once they hold this
 # many bytes (``_Cell.nbytes``), so its memory stays bounded as M grows.
 BATCH_BYTES = 8 << 20
-# A batch of fewer cells trains cell by cell through ``lvq_train``. Lockstep
-# would not be slower at 2: a 2-cell ``train_cells`` call took 0.52-0.61x
-# the time of two ``train`` calls (medians of 15, two runs; N 7-20, P 2-5,
-# M 77-2000, one vCPU of a Xeon, numpy 2.4.6). The value stays 3 because
-# perfbench/tracer.py wraps ``lvq_train`` and not ``train_cells``: at 2, the
-# tiny tall input of perfbench/smoke.py (one 2-cell batch) would train out
-# of sight of its "trace sees lvq.train" check. Lower it once
-# ``train_cells`` has a span.
+# A batch of fewer cells trains cell by cell through ``lvq_train``, the same
+# kernel on one cell. Lockstep would not be slower at 2: a 2-cell
+# ``train_cells`` call took 0.51-0.54x the time of two 1-cell calls
+# (medians of 15, two runs; N 7-20, P 2-5, M 77-2000, one vCPU of a Xeon,
+# numpy 2.4.6). The value stays 3 because perfbench/tracer.py wraps
+# ``lvq_train`` and not ``train_cells``: at 2, the tiny tall input of
+# perfbench/smoke.py (one 2-cell batch) would train out of sight of its
+# "trace sees lvq.train" check. Lower it once ``train_cells`` has a span.
 LOCKSTEP_MIN_CELLS = 3
 # timing_stability flags a cell whose slowest classify pass takes more than
 # this many times its fastest.
@@ -174,9 +174,8 @@ def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
     evaluate them in order. Each record's ``train_ms`` is the wall time of
     the call that trained it. A cell with a twin gives its reduced record
     too. The cells of a sweep share their prototype count (every class has
-    rows in each train partition) and epochs, so they make one group of
-    ``lvq.cell_groups``. If cells fail, the error of the first in batch
-    order propagates."""
+    rows in each train partition) and epochs, as ``train_cells`` needs. If
+    cells fail, the error of the first in batch order propagates."""
     trained, train_ms = [], []
     if len(batch) >= LOCKSTEP_MIN_CELLS:
         t0 = time.perf_counter()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,43 +142,10 @@ def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
                     class_names=train.class_names, feature_names=train.feature_names)
 
 
-def _check_arity(model: LVQModel, data: Dataset) -> None:
-    if data.n_features != model.n_features:
-        raise LVQError(
-            f"model expects N={model.n_features}, dataset has N={data.n_features}"
-        )
-
-
-def _nonfinite(epoch: int) -> LVQError:
-    return LVQError(f"non-finite prototype after epoch {epoch}")
-
-
-def _trained(model: LVQModel, book: np.ndarray) -> LVQModel:
-    return LVQModel(book, model.classes.copy(), model.config,
-                    epochs_run=model.epochs_run + model.config.epochs,
-                    class_names=model.class_names, feature_names=model.feature_names)
-
-
 def train(model: LVQModel, data: Dataset) -> LVQModel:
-    """Winner-take-all training under ``model.config``.
-
-    Each epoch visits instances in a seeded shuffled order. The nearest
-    prototype is pulled toward same-class instances and pushed away from
-    others by the fixed learning rate.
-    """
-    cfg = model.config
-    _check_arity(model, data)
-    book = model.codebook.copy()
-    rng = np.random.default_rng(cfg.seed)
-    x, y, classes = data.features, data.labels.tolist(), model.classes.tolist()
-    for epoch in range(cfg.epochs):
-        for i in rng.permutation(data.n_instances).tolist():
-            diff = x[i] - book
-            win = int((diff**2).sum(axis=1).argmin())
-            book[win] += (cfg.alpha if classes[win] == y[i] else -cfg.alpha) * diff[win]
-        if not np.all(np.isfinite(book)):
-            raise _nonfinite(epoch + 1)
-    return _trained(model, book)
+    """Winner-take-all training under ``model.config``: ``train_cells`` on
+    the one cell."""
+    return train_cells([model], [data])[0]
 
 
 def sum_width(n: int, width: int) -> int:
@@ -195,72 +162,85 @@ def sum_width(n: int, width: int) -> int:
     return n if n >= 128 else min(n | 7, width)
 
 
-def cell_groups(models: list[LVQModel]) -> list[list[int]]:
-    """Cell indices of each group that ``train_cells`` can train in one call:
-    equal prototype count and epochs. Groups are ordered by their first
-    cell."""
-    groups: dict[tuple, list[int]] = {}
-    for i, model in enumerate(models):
-        groups.setdefault((model.codebook.shape[0], model.config.epochs), []).append(i)
-    return list(groups.values())
-
-
-# Visits whose rows and coefficients ``train_cells`` repeats over the
-# prototypes and columns at a time.
+# Visits whose rows and coefficients ``train_cells`` gathers at a time.
 CHUNK_VISITS = 32
 
 
 def lockstep_nbytes(model: LVQModel, visits: int, width: int) -> int:
-    """Bytes of a cell's share of the arrays of ``train_cells`` when its
-    group makes ``visits`` visits an epoch and pads its rows to ``width``
-    columns: its rows and its +-alpha coefficients, gathered each epoch
-    (visits x (width + P) float64s), the same for ``CHUNK_VISITS`` visits
-    repeated over the prototypes and columns, and its share of the codebook
-    and the step's buffers."""
-    p = model.codebook.shape[0]
-    return 8 * (visits * (width + p) + p * ((2 * CHUNK_VISITS + 4) * width + 4))
+    """Bytes of a cell's share of the arrays of ``train_cells`` when it has
+    at most ``visits`` rows and its group visits ``visits`` rows an epoch,
+    padded to ``width`` columns: its stacked rows, class keys and visit
+    order (visits x (width + 2) words), its +-alpha table (a (P, width)
+    block per class of ``model.class_names``), and its share of the chunk
+    buffers, the codebook and the step's buffers."""
+    p, chunk = model.codebook.shape[0], CHUNK_VISITS
+    words = (visits * (width + 2) + p * width * (len(model.class_names) + 2 * chunk + 4)
+             + p * (chunk + 2) + chunk + 1)
+    return 8 * words + p * width  # the winner mask holds bytes
 
 
 def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
-    """Train one group of ``cell_groups`` with one numpy step per visit
-    index; model ``i`` is bit-identical to ``train(models[i], datas[i])``.
+    """LVQ1 winner-take-all training of independent cells of one prototype
+    count and epoch count, each under its ``model.config``, with one numpy
+    step per visit index. Each epoch visits a cell's rows in the order of
+    the next ``permutation`` of ``np.random.default_rng(seed)``; the nearest
+    prototype moves by alpha * (x - w), toward a row of its class and away
+    from other rows.
 
     The cells are sorted by row count M, largest first, so the cells that
-    still have a row at visit t are a prefix ``[:k]``. Rows and prototypes
-    are zero-padded to the widest cell. Each epoch gathers every cell's rows
-    in its own seeded order, with the +-alpha coefficient of each (row,
-    prototype) pair. ``CHUNK_VISITS`` visits at a time, both are repeated
-    over the prototypes and columns, so that each visit updates the winning
-    prototype of all k cells with a few numpy operations on arrays of one
-    shape, which write into buffers allocated once. A cell's squared
-    distances are summed over its first ``sum_width`` columns: one sum for
-    each distinct width among the k cells.
+    still have a row at visit t are a prefix ``[:k]``. A lone cell's rows
+    and labels are used as they are; several cells' rows are stacked once,
+    zero-padded to the widest cell. Each epoch writes every cell's order as
+    row indices. ``CHUNK_VISITS`` visits at a time, the rows, repeated over
+    the prototypes, and their +-alpha for each prototype, repeated over the
+    columns, are gathered into buffers, so that each visit updates the
+    winning prototype of all k cells with a few numpy operations on arrays
+    of one shape. A cell's squared distances are summed over its first
+    ``sum_width`` columns: one sum per distinct width among the k cells.
 
-    If cells go non-finite, the ``LVQError`` that ``train`` raises for the
-    first of them in argument order is raised, with that cell's index as
-    its ``cell`` attribute.
+    If cells go non-finite, the first in argument order raises ``LVQError``
+    naming the epoch after which it did; training stops once all have.
     """
+    p, epochs = models[0].codebook.shape[0], models[0].config.epochs
     for model, data in zip(models, datas, strict=True):
-        _check_arity(model, data)
-    if len(cell_groups(models)) != 1:
-        raise LVQError("train_cells needs one group of cell_groups")
+        if data.n_features != model.n_features:
+            raise LVQError(f"model expects N={model.n_features}, "
+                           f"dataset has N={data.n_features}")
+        if (model.codebook.shape[0], model.config.epochs) != (p, epochs):
+            raise LVQError("train_cells needs one group: equal prototype count and epochs")
     order = sorted(range(len(models)), key=lambda a: -datas[a].n_instances)
     sizes = [datas[a].n_instances for a in order]
     widths = [models[a].n_features for a in order]
-    cells, p, width = len(order), models[0].codebook.shape[0], max(widths)
+    cells, width = len(order), max(widths)
+    class_count = max(data.class_count for data in datas)
     sums = np.array([sum_width(n, width) for n in widths])
     book = np.zeros((cells, p, width))
+    table = np.empty((cells * class_count, p, width))  # row c * class_count + y: label y of cell c
     for c, a in enumerate(order):
         book[c, :, :widths[c]] = models[a].codebook
-    xs = np.zeros((sizes[0], cells, width))  # visit t's row of each cell
-    coef = np.empty((sizes[0], cells, p, 1))  # its +-alpha for each prototype
-    # the step's buffers; a run of k active cells uses their first k entries
-    rows, signs = np.empty((2, CHUNK_VISITS, cells, p, width))  # xs and coef, repeated
+        alpha = models[a].config.alpha
+        same = models[a].classes == np.arange(class_count)[:, None]
+        table[c * class_count:(c + 1) * class_count] = np.where(same, alpha, -alpha)[:, :, None]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    if cells == 1:
+        rows, keys = datas[order[0]].features, datas[order[0]].labels
+    else:
+        rows = np.zeros((sum(sizes), width))
+        keys = np.empty(sum(sizes), dtype=np.intp)
+        for c, a in enumerate(order):
+            rows[starts[c]:starts[c] + sizes[c], :widths[c]] = datas[a].features
+            np.add(datas[a].labels, c * class_count, out=keys[starts[c]:starts[c] + sizes[c]])
+    visit = np.empty((sizes[0], cells), dtype=np.intp)  # visit t's row of each cell
+    # chunk buffers, viewed for a run of k active cells as their first
+    # CHUNK_VISITS * k rows, and the step's buffers, as their first k entries
+    gathered, coefs = np.empty((2, CHUNK_VISITS * cells * p * width))
+    row_ids = np.empty(CHUNK_VISITS * cells * p, dtype=np.intp)
+    key_ids = np.empty(CHUNK_VISITS * cells, dtype=np.intp)
     diff, sq, step = np.empty((3, cells, p, width))
     d2, part = np.empty((2, cells, p))
     win = np.empty(cells, dtype=np.intp)
-    mask = np.empty((cells, p, 1), dtype=bool)
-    winner = np.eye(p, dtype=bool)[:, :, None]  # winner[r]: the mask of prototype r
+    mask = np.empty((cells, p, width), dtype=bool)
+    winner = np.repeat(np.eye(p, dtype=bool)[:, :, None], width, axis=2)  # [r]: r's mask
     rngs = [np.random.default_rng(models[a].config.seed) for a in order]
     # runs of visits at which exactly k cells have a row: (k, first visit,
     # end, the widest sum of those cells, and each narrower sum with the
@@ -273,25 +253,29 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
             runs.append((k, ends[k], ends[k - 1], summed[0],
                          [(s, (sums[:k] == s)[:, None]) for s in summed[1:]]))
     subtract, multiply, add, reduce = np.subtract, np.multiply, np.add, np.add.reduce
-    copyto, take = np.copyto, winner.take
+    copyto, take, pick = np.copyto, np.take, winner.take
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
-    for epoch in range(models[0].config.epochs):
-        for c, a in enumerate(order):
-            perm = rngs[c].permutation(sizes[c])
-            xs[:sizes[c], c, :widths[c]] = datas[a].features[perm]
-            same = models[a].classes == datas[a].labels[perm, None]
-            alpha = models[a].config.alpha
-            coef[:sizes[c], c, :, 0] = np.where(same, alpha, -alpha)
+    for epoch in range(epochs):
+        for c in range(cells):
+            add(rngs[c].permutation(sizes[c]), starts[c], out=visit[:sizes[c], c])
         for k, start, stop, widest, narrower in runs:
+            xs = gathered[:CHUNK_VISITS * k * p * width].reshape(CHUNK_VISITS, k, p, width)
+            gs = coefs[:CHUNK_VISITS * k * p * width].reshape(CHUNK_VISITS, k, p, width)
+            ids = row_ids[:CHUNK_VISITS * k * p].reshape(CHUNK_VISITS, k, p)
+            ks = key_ids[:CHUNK_VISITS * k].reshape(CHUNK_VISITS, k)
             group, dk, sk, uk, d2k, pk, wk, mk = (
                 buf[:k] for buf in (book, diff, sq, step, d2, part, win, mask))
             summed, argmin = sk[:, :, :widest], d2k.argmin
             partial = [(sk[:, :, :s], cut) for s, cut in narrower]
             for t in range(start, stop, CHUNK_VISITS):
                 n = min(CHUNK_VISITS, stop - t)
-                copyto(rows[:n, :k], xs[t:t + n, :k, None])
-                copyto(signs[:n, :k], coef[t:t + n, :k])
-                for x, sign in zip(rows[:n, :k], signs[:n, :k]):
+                at = visit[t:t + n, :k]
+                copyto(ids[:n], at[:, :, None])
+                # every index is in range; "clip" lets take write into out unbuffered
+                take(rows, ids[:n], axis=0, out=xs[:n], mode="clip")
+                take(keys, at, out=ks[:n], mode="clip")
+                take(table, ks[:n], axis=0, out=gs[:n], mode="clip")
+                for x, sign in zip(xs[:n], gs[:n]):
                     subtract(x, group, out=dk)
                     multiply(dk, dk, out=sk)
                     reduce(summed, axis=2, out=d2k)
@@ -299,22 +283,23 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
                         reduce(columns, axis=2, out=pk)
                         copyto(d2k, pk, where=cut)
                     argmin(axis=1, out=wk)
-                    # the indices are in range; "clip" lets take write into mk unbuffered
-                    take(wk, axis=0, out=mk, mode="clip")
+                    pick(wk, axis=0, out=mk, mode="clip")
                     multiply(sign, dk, out=uk)
+                    add(group, uk, out=uk)
                     # only each cell's winner moves; the other prototypes keep their bits
-                    add(group, uk, out=group, where=mk)
+                    copyto(group, uk, where=mk)
         for c in np.flatnonzero(~np.isfinite(book).all(axis=(1, 2))).tolist():
             failed.setdefault(order[c], epoch + 1)
             book[c] = 0.0  # keeps a failed cell finite and quiet; its result is dropped
+        if len(failed) == cells:
+            break
     if failed:
-        first = min(failed)
-        exc = _nonfinite(failed[first])
-        exc.cell = first
-        raise exc
+        raise LVQError(f"non-finite prototype after epoch {failed[min(failed)]}")
     out: list = [None] * cells
     for c, a in enumerate(order):
-        out[a] = _trained(models[a], book[c, :, :widths[c]].copy())
+        out[a] = replace(models[a], codebook=book[c, :, :widths[c]].copy(),
+                         classes=models[a].classes.copy(),
+                         epochs_run=models[a].epochs_run + epochs)
     return out
 
 

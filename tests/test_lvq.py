@@ -11,7 +11,6 @@ from ifecf.lvq import (
     LVQConfig,
     LVQError,
     LVQModel,
-    cell_groups,
     classify_batch,
     evaluate,
     init_codebook,
@@ -141,9 +140,20 @@ def tie_cell(n, tiny, m=12):
     return LVQModel(book, np.array([0, 1]), LVQConfig(alpha=0.25, epochs=4, seed=n)), data
 
 
+def cell_groups(models):
+    """Cell indices of each group that ``train_cells`` trains in one call:
+    equal prototype count and epochs. Groups are ordered by their first
+    cell."""
+    groups = {}
+    for i, model in enumerate(models):
+        groups.setdefault((model.codebook.shape[0], model.config.epochs), []).append(i)
+    return list(groups.values())
+
+
 def assert_cells_match_train(cells):
-    """Train each group of ``cell_groups`` with one ``train_cells`` call and
-    compare every cell with its own ``train``."""
+    """Train each group of ``cell_groups`` with one ``train_cells`` call,
+    compare every cell with its own ``train``, a call on that cell alone,
+    and return the grouped results."""
     models, datas = (list(c) for c in zip(*cells))
     got = [None] * len(cells)
     for group in cell_groups(models):
@@ -157,6 +167,7 @@ def assert_cells_match_train(cells):
         assert out.classes.tobytes() == want.classes.tobytes()
         assert (out.config, out.epochs_run) == (want.config, want.epochs_run)
         assert (out.class_names, out.feature_names) == (want.class_names, want.feature_names)
+    return got
 
 
 class TestTrainCells:
@@ -165,7 +176,13 @@ class TestTrainCells:
         cells = [lockstep_cell(10 + n, n, m, alpha=0.05 * n)
                  for n, m in zip(range(1, 8), (9, 200, 37, 120, 64, 150, 12))]
         assert cell_groups([model for model, _ in cells]) == [list(range(7))]
-        assert_cells_match_train(cells)
+        # at widths 1-7 numpy's sum adds the squares left to right, as the oracle does
+        for (model, data), out in zip(cells, assert_cells_match_train(cells)):
+            cfg = model.config
+            expected = lvq1_oracle(model.codebook.tolist(), model.classes.tolist(),
+                                   data.features.tolist(), data.labels.tolist(),
+                                   cfg.alpha, cfg.epochs, cfg.seed)
+            assert out.codebook.tolist() == expected
 
     def test_widths_8_and_20_share_one_group(self):
         # the 8-wide cells sum the first 15 of the 20 padded columns
@@ -223,25 +240,57 @@ class TestTrainCells:
                 with pytest.raises(LVQError) as grouped:
                     train_cells(models, datas)
                 assert str(grouped.value) == f"non-finite prototype after epoch {epoch}"
-                assert grouped.value.cell == 1
         assert str(alone.value) == "non-finite prototype after epoch 20"
 
+    def test_stops_once_every_cell_failed(self, monkeypatch):
+        # the alpha 0.3 noise cell fails after epoch 8 of 20 and draws no further order
+        model, data = lockstep_cell(50, 20, 2000, k=5, alpha=0.3, epochs=20, noise=True)
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permutation(self, m):
+                drawn.append(m)
+                return self.rng.permutation(m)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        with np.errstate(all="ignore"), pytest.raises(LVQError, match="after epoch 8$"):
+            train(model, data)
+        assert drawn == [2000] * 8
+
     def test_memory_within_lockstep_nbytes(self):
-        # rows 2000 to 100 and widths 20 to 3 in one group of 5 classes
-        cells = [lockstep_cell(90 + i, n, m, k=5, epochs=2)
-                 for i, (n, m) in enumerate(((20, 2000), (8, 2000), (20, 1500), (3, 100)))]
-        models, datas = (list(c) for c in zip(*cells))
-        bound = sum(lvq.lockstep_nbytes(model, 2000, 20) for model in models)
-        # each epoch gathers a cell's rows into a temporary before it copies
-        # them into place; 64 KiB covers its permutation and the Python objects
-        slack = max(d.features.nbytes for d in datas) + (64 << 10)
+        # widths 20 to 3 in one group of 5 classes; the count is exact when
+        # every cell has as many rows as the group visits, and a bound when
+        # some have fewer. 64 KiB covers the epoch's permutation temporary
+        # and the Python objects.
+        for rows, exact in (((2000, 2000, 2000, 2000), True), ((2000, 2000, 1500, 100), False)):
+            cells = [lockstep_cell(90 + i, n, m, k=5, epochs=2)
+                     for i, (n, m) in enumerate(zip((20, 8, 20, 3), rows))]
+            models, datas = (list(c) for c in zip(*cells))
+            bound = sum(lvq.lockstep_nbytes(model, 2000, 20) for model in models)
+            tracemalloc.start()
+            try:
+                train_cells(models, datas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + (64 << 10)
+            assert (bound < peak) == exact
+
+    def test_one_cell_streams_its_own_rows(self):
+        # a lone cell is trained from its own rows: no copy of them, and no
+        # per-epoch gather of all its visits
+        model, data = lockstep_cell(95, 20, 20000, k=5, epochs=2)
         tracemalloc.start()
         try:
-            train_cells(models, datas)
+            train(model, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bound < peak <= bound + slack
+        assert peak < data.features.nbytes
 
     def test_rejects_cells_of_different_groups(self):
         for odd in (dict(epochs=5), dict(ppc=2)):  # epochs or prototype count differ
