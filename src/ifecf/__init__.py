@@ -4,12 +4,7 @@ CFS merit search, Relief weighting) and LVQ1 classification toolkit."""
 __version__ = "0.1.0"
 
 from .data import Dataset, SplitSpec, NormalizationParams, load_csv, split
-from .measures import (
-    correlation,
-    entropy,
-    conditional_entropy,
-    information_gain,
-)
+from .measures import correlation
 from .select import SelectionConfig, SelectionResult, ife_cf, cfs_search, relief
 from .lvq import LVQConfig, LVQModel
 
@@ -20,9 +15,6 @@ __all__ = [
     "load_csv",
     "split",
     "correlation",
-    "entropy",
-    "conditional_entropy",
-    "information_gain",
     "SelectionConfig",
     "SelectionResult",
     "ife_cf",

@@ -1,6 +1,5 @@
-"""Statistical measures: linear correlation, entropy, conditional entropy,
-information gain, coefficient of dispersion, and the column-wise class- and
-feature-correlation kernels built from them."""
+"""Statistical measures: linear correlation, coefficient of dispersion, and
+the column-wise class- and feature-correlation kernels."""
 
 from __future__ import annotations
 
@@ -11,12 +10,12 @@ import numpy as np
 
 from .data import Dataset
 
-PROB_SUM_TOL = 1e-9
+BLOCK_CELLS = 1 << 16
+BINS = 10
 
 
 class MeasureError(ValueError):
-    """Raised when a measure's preconditions are violated (zero variance,
-    malformed distribution)."""
+    """Raised when a measure's preconditions are violated."""
 
 
 def correlation(x, y) -> float:
@@ -41,50 +40,6 @@ def correlation(x, y) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits of an explicit discrete distribution."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0):
-        raise MeasureError("negative probability")
-    if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-        raise MeasureError(f"probabilities sum to {p.sum()}, not 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def _counts_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    return entropy(counts / total)
-
-
-def conditional_entropy(a, b) -> float:
-    """Empirical E(A|B) in bits from paired discrete samples."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0:
-        raise MeasureError("empty input")
-    if a.shape != b.shape or a.ndim != 1:
-        raise MeasureError("conditional_entropy needs two equal-length vectors")
-    total = a.size
-    acc = 0.0
-    for bv in np.unique(b):
-        mask = b == bv
-        _, counts = np.unique(a[mask], return_counts=True)
-        acc += (mask.sum() / total) * _counts_entropy(counts)
-    return acc
-
-
-def information_gain(a, b) -> float:
-    """IG(A|B) = E(A) - E(A|B); symmetric in its arguments."""
-    a = np.asarray(a)
-    _, counts = np.unique(a, return_counts=True)
-    ig = float(_counts_entropy(counts) - conditional_entropy(a, b))
-    # empirical estimate can dip a hair below zero
-    return max(0.0, ig)
-
-
 def dispersion_scores(features: np.ndarray) -> np.ndarray:
     """Per-column coefficient of dispersion |sigma/mean| with population std;
     NaN marks zero-mean columns.
@@ -92,7 +47,8 @@ def dispersion_scores(features: np.ndarray) -> np.ndarray:
     Single vectorized pass, linear in the number of features.
     """
     means = features.mean(axis=0)
-    sigma = np.sqrt(np.mean((features - means) ** 2, axis=0))
+    dev = features - means
+    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
     out = np.full(features.shape[1], np.nan)
     nz = means != 0
     out[nz] = np.abs(sigma[nz] / means[nz])
@@ -127,18 +83,71 @@ def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
     return np.clip(r, 0.0, 1.0, out=r)
 
 
+def _cut_points(sorted_cols: np.ndarray) -> np.ndarray:
+    """The (BINS - 1, c) cut points of each sorted column: the midpoints of
+    its distinct values when it has BINS or fewer (the unused cuts are inf),
+    else its equal-frequency quantiles. Partitions ``sorted_cols`` in place."""
+    change = sorted_cols[1:] != sorted_cols[:-1]
+    few = np.flatnonzero(change.sum(axis=0) < BINS)
+    col, row = np.nonzero(change[:, few].T)  # column by column, rows ascending
+    j = few[col]
+    mids = (sorted_cols[row, j] + sorted_cols[row + 1, j]) / 2.0
+    q = np.linspace(0, 1, BINS + 1)[1:-1]
+    cuts = np.quantile(sorted_cols, q, axis=0, overwrite_input=True)
+    cuts[:, few] = np.inf
+    cuts[np.arange(col.size) - np.searchsorted(col, col), j] = mids
+    return cuts
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right, as numpy sums fewer than 8 numbers."""
+    acc = np.zeros(terms.shape[:-1])
+    for t in np.moveaxis(terms, -1, 0):
+        acc += t
+    return acc
+
+
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of class counts along the last axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=-1, keepdims=True)
+        return -_running_sum(np.where(counts > 0, p * np.log2(p), 0.0))
+
+
+def _information_gains(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Information gain between the class ids y (in [0, k)) and each column
+    of x cut into at most BINS bins."""
+    m, c = x.shape
+    cuts = _cut_points(np.sort(x, axis=0))
+    # key (column * BINS + bin) * k + class, where a value's bin is the number
+    # of cuts below it (searchsorted, side="left"); a repeated cut leaves an
+    # empty bin, which adds nothing below
+    keys = np.tile(np.arange(c) * BINS, (m, 1))
+    for cut in cuts:
+        keys += cut < x
+    keys *= k
+    keys += y[:, None]
+    counts = np.bincount(keys.ravel(), minlength=c * BINS * k).reshape(c, BINS, k)
+    cond = _running_sum(counts.sum(axis=2) / m * _entropies(counts))  # E(class|bin)
+    ig = _entropies(np.bincount(y, minlength=k)) - cond
+    return np.where(ig > 0, ig, 0.0)  # the estimate can dip a hair below zero
+
+
 def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     """Feature-to-class relevance score of each column of the (M, N) matrix.
 
-    Two-class data uses |Pearson r| against the integer class id, all columns
-    in one pass; more classes use information gain (order-free) on each
-    feature cut into 10 equal-frequency bins (one bin per value when it has
-    10 or fewer distinct values; a value equal to a cut falls in the lower
-    bin). Constant features score 0 by convention; zero-variance labels
-    raise MeasureError on two classes unless every feature is constant.
+    Two-class data uses |Pearson r| against the integer class id; more
+    classes use information gain in bits (order-free) on each feature cut
+    into BINS equal-frequency bins (one bin per value when it has BINS or
+    fewer distinct values; a value equal to a cut falls in the lower bin),
+    in column blocks of about ``BLOCK_CELLS`` values. Constant features
+    score 0. MeasureError: labels that do not match the rows, no rows on
+    more classes, zero-variance labels on two unless every feature is constant.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != features.shape[:1]:
+        raise MeasureError("labels do not match the feature rows")
     if class_count == 2:
         scaled, ok = _unit_columns(features)
         y, y_ok = _unit_columns(labels.astype(np.float64).reshape(-1, 1))
@@ -146,30 +155,21 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
             raise MeasureError("zero-variance input to correlation")
         r = np.abs(scaled.T @ y[:, 0])
         return np.minimum(r, 1.0, out=r)
-    scores = np.zeros(features.shape[1])
-    for j in range(features.shape[1]):  # a constant column is one bin: gain 0
-        x = features[:, j]
-        ranks = np.unique(x)
-        if ranks.size > 10:
-            cutpts = np.unique(np.quantile(np.sort(x), np.linspace(0, 1, 11)[1:-1]))
-        else:
-            cutpts = (ranks[:-1] + ranks[1:]) / 2.0
-        scores[j] = information_gain(labels, np.searchsorted(cutpts, x, side="left"))
+    m, n = features.shape
+    if m == 0:
+        raise MeasureError("empty input")
+    classes, y = np.unique(labels, return_inverse=True)
+    scores = np.zeros(n)
+    step = max(1, BLOCK_CELLS // m)
+    for j in range(0, n, step):
+        scores[j:j + step] = _information_gains(features[:, j:j + step], y, classes.size)
     return scores
 
 
 def feature_stats(d: Dataset) -> list[FeatureStats]:
     """Per-feature mean, population std, dispersion and class relevance."""
-    means = d.features.mean(axis=0)
-    stds = d.features.std(axis=0)
-    disp = dispersion_scores(d.features)
-    cc = c_correlation(d.features, d.labels, d.class_count)
-    return [
-        FeatureStats(
-            float(means[j]),
-            float(stds[j]),
-            None if math.isnan(disp[j]) else float(disp[j]),
-            float(cc[j]),
-        )
-        for j in range(d.n_features)
-    ]
+    columns = zip(d.features.mean(axis=0).tolist(), d.features.std(axis=0).tolist(),
+                  dispersion_scores(d.features).tolist(),
+                  c_correlation(d.features, d.labels, d.class_count).tolist())
+    return [FeatureStats(mean, std, None if math.isnan(disp) else disp, cc)
+            for mean, std, disp, cc in columns]

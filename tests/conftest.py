@@ -57,6 +57,22 @@ def pima_like(seed=7, m=768, n=8, majority=500):
     return make_dataset(x, labels, class_names=("0", "1"))
 
 
+def lung_like(seed=3, m=32, n=56, class_sizes=(9, 13, 10), informative=(3, 11, 20, 37, 48)):
+    """Shape-matched stand-in for the 32x56 three-class lung cancer benchmark.
+
+    Every attribute is nominal, valued 0-3. The ``informative`` attributes
+    follow the class id (shifted by 0 or 1) on about three rows in four; the
+    rest are uniform noise.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(class_sizes)), class_sizes))[:m]
+    x = rng.integers(0, 4, size=(m, n))
+    for j in informative:
+        tied = labels + j % 2
+        x[:, j] = np.where(rng.random(m) < 0.75, tied, rng.integers(0, 4, size=m))
+    return make_dataset(x.astype(np.float64), labels, class_names=("1", "2", "3"))
+
+
 @pytest.fixture(scope="session")
 def pima_dataset():
     return pima_like()

@@ -16,20 +16,11 @@ from ifecf.cli import main as cli_main
 from ifecf.data import SplitSpec, apply_normalizer, fit_normalizer, split
 from ifecf.lvq import LVQConfig, LVQModel, evaluate, init_codebook
 from ifecf.lvq import train as lvq_train
-from ifecf.measures import (
-    conditional_entropy,
-    correlation,
-    dispersion_scores,
-    entropy,
-    f_correlation_matrix,
-    information_gain,
-)
+from ifecf.measures import c_correlation, correlation, dispersion_scores, f_correlation_matrix
 from ifecf.select import SelectionConfig, cfs_search, merit_value, relief
 from oracles import (
-    cond_entropy_oracle,
     corr_oracle,
     dispersion_oracle,
-    entropy_oracle,
     exhaustive_search,
     info_gain_oracle,
     merit_oracle,
@@ -53,20 +44,16 @@ def test_measure_correctness_vs_oracle():
         y = rng.normal(size=m)
         worst = max(worst, abs(correlation(x, y) - corr_oracle(list(x), list(y))))
 
-        k = int(rng.integers(1, 6))
-        p = rng.uniform(0.05, 1.0, size=k)
-        p = p / p.sum()
-        worst = max(worst, abs(entropy(p) - entropy_oracle(list(p))))
+        # a spare draw of 1-5 probabilities: it keeps each later draw of the sequence
+        rng.uniform(0.05, 1.0, size=int(rng.integers(1, 6)))
 
+        # multi-class relevance: b has at most 10 values, so each value is its own bin
         a = rng.integers(0, 3, size=m)
         b = rng.integers(0, 4, size=m)
         worst = max(
             worst,
-            abs(conditional_entropy(a, b) - cond_entropy_oracle(list(a), list(b))),
-        )
-        worst = max(
-            worst,
-            abs(information_gain(a, b) - max(0.0, info_gain_oracle(list(a), list(b)))),
+            abs(c_correlation(b[:, None].astype(float), a, 3)[0]
+                - max(0.0, info_gain_oracle(list(a), list(b)))),
         )
 
         v = rng.uniform(0.5, 10.0, size=m)

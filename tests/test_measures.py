@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,9 @@ from conftest import make_dataset
 from ifecf.measures import (
     MeasureError,
     c_correlation,
-    conditional_entropy,
     correlation,
     dispersion_scores,
-    entropy,
     feature_stats,
-    information_gain,
 )
 from oracles import (
     cond_entropy_oracle,
@@ -60,65 +58,68 @@ class TestCorrelation:
         assert correlation(a * x + b, y) == pytest.approx(math.copysign(1, a) * r, abs=1e-9)
 
 
+def gain(a, b) -> float:
+    """Multi-class ``c_correlation`` of the column b against the class ids a;
+    b has at most 10 distinct values, so each value is its own bin."""
+    return float(c_correlation(np.asarray(b, dtype=np.float64)[:, None], a, 3)[0])
+
+
 class TestEntropy:
+    """The class entropy inside c_correlation: a column that repeats the class
+    id gains all of it, IG(A|A) = E(A)."""
+
     def test_uniform_binary(self):
-        assert entropy([0.5, 0.5]) == pytest.approx(1.0)
+        assert gain([0, 1], [0, 1]) == pytest.approx(1.0)
 
     def test_deterministic(self):
-        assert entropy([1.0]) == 0.0
+        assert gain([2, 2, 2], [2, 2, 2]) == 0.0
 
     def test_derived_value(self):
         expected = entropy_oracle([0.25, 0.75])
         assert expected == pytest.approx(0.8112781244591328)
-        assert entropy([0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(MeasureError, match="negative"):
-            entropy([-0.1, 1.1])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(MeasureError, match="sum"):
-            entropy([0.5, 0.4])
+        assert gain([0, 1, 1, 1], [0, 1, 1, 1]) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(k=st.integers(1, 16))
+    @given(k=st.integers(1, 10))
     def test_uniform_is_maximal(self, k):
-        assert entropy([1 / k] * k) == pytest.approx(math.log2(k), abs=1e-9)
+        a = np.arange(k).repeat(3)
+        assert gain(a, a) == pytest.approx(math.log2(k), abs=1e-9)
 
 
 class TestConditionalEntropy:
+    """E(A|B) inside c_correlation, seen through IG(A|B) = E(A) - E(A|B)."""
+
     def test_fully_determined(self):
         a = [0, 1, 0, 1]
-        assert conditional_entropy(a, a) == 0.0
+        assert gain(a, a) == info_gain_oracle(a, a)
 
     def test_independent(self):
-        assert conditional_entropy([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(1.0)
+        assert cond_entropy_oracle([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(1.0)
+        assert gain([0, 0, 1, 1], [0, 1, 0, 1]) == 0.0
 
     def test_derived_value(self):
-        # 0.75 * H(1/3, 2/3) + 0.25 * 0
+        # 1 - (0.75 * H(1/3, 2/3) + 0.25 * 0)
         expected = cond_entropy_oracle([0, 0, 1, 1], [0, 0, 0, 1])
         assert expected == pytest.approx(0.6887218755408672)
-        assert conditional_entropy([0, 0, 1, 1], [0, 0, 0, 1]) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert gain([0, 0, 1, 1], [0, 0, 0, 1]) == pytest.approx(1.0 - expected, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(MeasureError):
-            conditional_entropy([0, 1], [0, 1, 2])
+        with pytest.raises(MeasureError, match="labels"):
+            gain([0, 1], [0, 1, 2])
 
     def test_empty(self):
         with pytest.raises(MeasureError, match="empty"):
-            conditional_entropy([], [])
+            gain([], [])
 
 
 class TestInformationGain:
     def test_identical_vars(self):
         a = [0, 0, 1, 1, 1]
         _, counts = np.unique(a, return_counts=True)
-        assert information_gain(a, a) == pytest.approx(entropy(counts / counts.sum()))
+        assert gain(a, a) == pytest.approx(entropy_oracle(counts / counts.sum()), abs=1e-12)
 
     def test_independent(self):
-        assert information_gain([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0)
+        assert gain([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(4, 30))
@@ -126,12 +127,12 @@ class TestInformationGain:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 3, size=m)
         b = rng.integers(0, 4, size=m)
-        ig_ab = information_gain(a, b)
-        ig_ba = information_gain(b, a)
+        ig_ab = gain(a, b)
+        ig_ba = gain(b, a)
         assert abs(ig_ab - ig_ba) <= 1e-9
         ha = info_gain_oracle(list(a), list(a))
         hb = info_gain_oracle(list(b), list(b))
-        assert -1e-12 <= ig_ab <= min(ha, hb) + 1e-9
+        assert 0.0 <= ig_ab <= min(ha, hb) + 1e-9
 
 
 def dispersion(x) -> float:
@@ -255,6 +256,21 @@ class TestCCorrelation:
                 c_correlation(x, same, classes)
         else:  # one class carries no information
             assert c_correlation(x, same, classes).tolist() == [0.0] * 6
+
+
+    def test_multiclass_peak_memory_bounded_by_block(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(20_000, 20))
+        labels = rng.integers(0, 5, size=20_000)
+        tracemalloc.start()
+        try:
+            c_correlation(x, labels, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # columns go through in blocks of about BLOCK_CELLS values, so the
+        # temporaries stay below the size of the input
+        assert peak < x.nbytes
 
 
 class TestFeatureStats:

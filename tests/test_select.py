@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset
+from conftest import lung_like, make_dataset, random_dataset
 from ifecf.select import (
     SelectionConfig,
     SelectionError,
@@ -16,10 +16,11 @@ from ifecf.select import (
     relief,
 )
 from ifecf import select
-from ifecf.measures import f_correlation_matrix
+from ifecf.measures import c_correlation, f_correlation_matrix
 from oracles import (
     dispersion_oracle,
     exhaustive_search,
+    info_gain_oracle,
     merit_oracle,
     relief_exact,
     relief_oracle,
@@ -393,3 +394,23 @@ class TestVectorizedPasses:
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         r = f_correlation_matrix(x)
         assert r[0, 1] == 0.0
+
+
+class TestLungLike:
+    """The paper's second benchmark shape (32x56, nominal 0-3, three classes)
+    through the multi-class relevance kernel and both class-aware selectors."""
+
+    def test_scores_and_kept_sets(self):
+        d = lung_like()
+        labels = d.labels.tolist()
+        scores = c_correlation(d.features, d.labels, d.class_count)
+        for j in range(d.n_features):
+            expected = info_gain_oracle(labels, d.features[:, j].tolist())
+            assert scores[j] == pytest.approx(max(0.0, expected), abs=1e-12)
+
+        kept = ife_cf(d, SelectionConfig()).kept
+        assert kept == [j for j in range(56) if j not in
+                        (4, 7, 13, 15, 17, 25, 35, 36, 41, 43, 47, 51, 54)]
+        cfs = cfs_search(d, SelectionConfig())
+        assert cfs.kept == [11, 20, 37, 48]
+        assert max(m for _, m in cfs.merit_trace) == 1.320506380228289
