@@ -27,8 +27,9 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # more only for paper_efficiency); 0 is the train partition, 1 the test one.
 _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1), ())}
 
-# run_sweep trains and evaluates the cells it has prepared once they hold this
-# many bytes (``_Cell.nbytes``), so its memory stays bounded as M grows.
+# run_sweep trains the cells it has prepared once their partitions and the
+# arrays of their ``train_cells`` call (``lvq.lockstep_nbytes``) hold this
+# many bytes, so its memory stays bounded as M grows.
 BATCH_BYTES = 8 << 20
 # A batch of fewer cells trains cell by cell through ``lvq_train``, the same
 # kernel on one cell. Lockstep would not be slower at 2: a 2-cell
@@ -153,23 +154,14 @@ class _Cell:
     parts: tuple[Dataset, Dataset]
     model: LVQModel
     selection: dict | None
-    width: int  # the dataset's N, which no cell of a sweep exceeds
     # the selection summary of the reduced variant when the filter kept
     # every column: that variant is this cell, and its record a copy
     twin: dict | None = None
 
-    @property
-    def nbytes(self) -> int:
-        """The partitions, plus a bound on the cell's share of the lockstep
-        arrays: its group visits no more rows an epoch than its largest
-        train partition, which is no larger than this cell's whole dataset,
-        and pads them to no more than the dataset's width."""
-        rows = sum(part.n_instances for part in self.parts)
-        return rows * self.model.n_features * 8 + lockstep_nbytes(self.model, rows, self.width)
-
 
 def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
-    """Train the cells, with one ``train_cells`` call or, below
+    """Train the cells, with one ``train_cells`` call, whose arrays
+    ``run_sweep`` sized with ``lockstep_nbytes``, or, below
     ``LOCKSTEP_MIN_CELLS`` cells, one ``lvq_train`` call per cell, and
     evaluate them in order. Each record's ``train_ms`` is the wall time of
     the call that trained it. A cell with a twin gives its reduced record
@@ -242,8 +234,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
         norm = fit_normalizer(parts[0])
         parts = tuple(apply_normalizer(p, norm) for p in parts)
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
-    original = _Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None,
-                     d.n_features)
+    original = _Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None)
     if sel is None:
         return [original]
     summary = {
@@ -256,7 +247,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
         return [original]
     parts = tuple(apply_selection(p, sel) for p in parts)
     return [original, _Cell(fraction, alpha, "reduced", parts, init_codebook(parts[0], lvq_cfg),
-                            summary, d.n_features)]
+                            summary)]
 
 
 def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
@@ -268,8 +259,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     min-max scaling is per column, so projecting the normalized partitions
     equals normalizing the projected ones.
 
-    Cells are prepared in grid order and trained in batches of about
-    ``BATCH_BYTES``, with one ``lvq.train_cells`` call per batch; the
+    Cells are prepared in grid order. A batch closes once its partitions
+    and the arrays of its ``lvq.train_cells`` call (``lvq.lockstep_nbytes``)
+    reach ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it; the
     records come out in grid order. A reduced variant that keeps every
     column reuses the original's model: its record copies the original's
     accuracy and timing fields.
@@ -290,7 +282,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
                 raise
             for cell in cells:
                 batch.append(cell)
-                if sum(c.nbytes for c in batch) >= BATCH_BYTES:
+                held = sum(part.features.nbytes for c in batch for part in c.parts)
+                if held + lockstep_nbytes([c.model for c in batch],
+                                          [c.parts[0] for c in batch]) >= BATCH_BYTES:
                     records.extend(_run_batch(batch, cfg))
                     batch = []
     records.extend(_run_batch(batch, cfg))

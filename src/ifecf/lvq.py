@@ -120,7 +120,7 @@ def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
     training instances when more prototypes are requested."""
     rng = np.random.default_rng(cfg.seed)
     protos, classes = [], []
-    present = sorted(set(train.labels.tolist()))
+    present = np.flatnonzero(np.bincount(train.labels, minlength=train.class_count)).tolist()
     if not present:
         raise LVQError("no training instances")
     for c in present:
@@ -166,17 +166,19 @@ def sum_width(n: int, width: int) -> int:
 CHUNK_VISITS = 32
 
 
-def lockstep_nbytes(model: LVQModel, visits: int, width: int) -> int:
-    """Bytes of a cell's share of the arrays of ``train_cells`` when it has
-    at most ``visits`` rows and its group visits ``visits`` rows an epoch,
-    padded to ``width`` columns: its stacked rows, class keys and visit
-    order (visits x (width + 2) words), its +-alpha table (a (P, width)
-    block per class of ``model.class_names``), and its share of the chunk
-    buffers, the codebook and the step's buffers."""
-    p, chunk = model.codebook.shape[0], CHUNK_VISITS
-    words = (visits * (width + 2) + p * width * (len(model.class_names) + 2 * chunk + 4)
-             + p * (chunk + 2) + chunk + 1)
-    return 8 * words + p * width  # the winner mask holds bytes
+def lockstep_nbytes(models: list[LVQModel], datas: list[Dataset]) -> int:
+    """Bytes of the arrays that ``train_cells(models, datas)`` allocates: the
+    stacked rows and class keys when there are several cells, the visit
+    order (the largest cell's rows for each cell), and for each cell its
+    +-alpha table, chunk buffers, codebook, step buffers and winner mask at
+    the call's width and class count."""
+    cells, p, chunk = len(models), models[0].codebook.shape[0], CHUNK_VISITS
+    width = max(model.n_features for model in models)
+    classes = max(data.class_count for data in datas)
+    sizes = [data.n_instances for data in datas]
+    words = max(sizes) * cells + (sum(sizes) * (width + 1) if cells > 1 else 0)
+    words += cells * (p * width * (classes + 2 * chunk + 4) + p * (chunk + 2) + chunk + 1)
+    return 8 * words + cells * p * width  # the winner mask holds bytes
 
 
 def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:

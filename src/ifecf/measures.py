@@ -19,9 +19,10 @@ class MeasureError(ValueError):
 
 
 def correlation(x, y) -> float:
-    """Pearson linear correlation coefficient, in [-1, 1].
+    """Pearson linear correlation coefficient, in [-1, 1]: the dot product of
+    the two columns as ``_unit_columns`` scales them.
 
-    Raises MeasureError when either vector has zero variance (the
+    Raises MeasureError when either vector holds one value (the
     denominator vanishes); never returns NaN.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -30,14 +31,10 @@ def correlation(x, y) -> float:
         raise MeasureError("correlation needs two equal-length vectors")
     if x.size < 2:
         raise MeasureError("correlation needs at least 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
-    if sx == 0.0 or sy == 0.0:
+    scaled, ok = _unit_columns(np.column_stack((x, y)))
+    if not ok.all():
         raise MeasureError("zero-variance input to correlation")
-    r = float(np.dot(dx, dy)) / (sx * sy)
-    return max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, float(scaled[:, 0] @ scaled[:, 1])))
 
 
 def dispersion_scores(features: np.ndarray) -> np.ndarray:
@@ -141,13 +138,18 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     into BINS equal-frequency bins (one bin per value when it has BINS or
     fewer distinct values; a value equal to a cut falls in the lower bin),
     in column blocks of about ``BLOCK_CELLS`` values. Constant features
-    score 0. MeasureError: labels that do not match the rows, no rows on
-    more classes, zero-variance labels on two unless every feature is constant.
+    score 0. MeasureError: labels that do not match the rows or are not
+    class ids in [0, class_count), no rows on more classes, zero-variance
+    labels on two unless every feature is constant.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != features.shape[:1]:
         raise MeasureError("labels do not match the feature rows")
+    # a label past the last class would spill into the next column's bin counts
+    if labels.size and (labels.dtype.kind != "i" or labels.min() < 0
+                        or labels.max() >= class_count):
+        raise MeasureError(f"labels must be integer class ids in [0, {class_count})")
     if class_count == 2:
         scaled, ok = _unit_columns(features)
         y, y_ok = _unit_columns(labels.astype(np.float64).reshape(-1, 1))
@@ -158,11 +160,10 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     m, n = features.shape
     if m == 0:
         raise MeasureError("empty input")
-    classes, y = np.unique(labels, return_inverse=True)
     scores = np.zeros(n)
     step = max(1, BLOCK_CELLS // m)
     for j in range(0, n, step):
-        scores[j:j + step] = _information_gains(features[:, j:j + step], y, classes.size)
+        scores[j:j + step] = _information_gains(features[:, j:j + step], labels, class_count)
     return scores
 
 

@@ -15,7 +15,7 @@ from ifecf.bench import (
     run_sweep,
     timing_stability,
 )
-from ifecf.lvq import LVQConfig, LVQError, init_codebook, lockstep_nbytes
+from ifecf.lvq import LVQError, lockstep_nbytes
 from ifecf.select import SelectionConfig, SelectionError
 
 
@@ -167,15 +167,19 @@ class TestRunSweep:
 
         monkeypatch.setattr(bench, "lvq_train", counting_train)
         monkeypatch.setattr(bench, "train_cells", counting_cells)
-        # a cell counts its 60 rows and its share of the lockstep arrays at
-        # 60 visits and 4 columns. The third reduced cell keeps all 4
-        # columns, so it is the twin of its original and not a cell of its
-        # own. With room for two original cells, the other 7 cells go in
-        # batches of 3, 3 and 1: two lockstep groups and one single cell
-        model = init_codebook(d, LVQConfig())
-        monkeypatch.setattr(bench, "BATCH_BYTES", 2 * (60 * 4 * 8 + lockstep_nbytes(model, 60, 4)))
+        # a batch closes once its partitions and the arrays of its
+        # train_cells call reach BATCH_BYTES. The third reduced cell keeps
+        # all 4 columns, so it is the twin of its original and not a cell of
+        # its own. With room for the first three cells (30-row train
+        # partitions), the 7 cells go in batches of 3, 3 (42-row train
+        # partitions) and 1: two lockstep groups and one single cell
         selection = SelectionConfig(tau_c=0.2)
-        report = run_sweep(d, small_sweep(repeats=3, selection=selection))
+        cfg = small_sweep(repeats=3, selection=selection)
+        first = [c for ai in range(2) for c in bench._prepare(d, cfg, 0, ai)][:3]
+        held = sum(part.features.nbytes for c in first for part in c.parts)
+        monkeypatch.setattr(bench, "BATCH_BYTES", held + lockstep_nbytes(
+            [c.model for c in first], [c.parts[0] for c in first]))
+        report = run_sweep(d, cfg)
         assert len(report.records) == 8
         assert [r.selection["kept_count"] for r in report.records[1::2]] == [2, 3, 4, 3]
         assert trained == {"single": 1, "lockstep": 6}
@@ -183,6 +187,22 @@ class TestRunSweep:
         assert all(len(r.classify_ms_repeats) == 3 for r in report.records)
         once = run_sweep(d, small_sweep(repeats=1, selection=selection))
         assert accuracy_fields(report) == accuracy_fields(once)
+
+    def test_default_select_grid_trains_in_one_call(self, monkeypatch, pima_dataset):
+        # the 90 cells of the default grid on 768x8 fit one batch: each is
+        # charged its own train partition, and the visit order the largest
+        calls = []
+        cells = bench.train_cells
+
+        def counting_cells(models, datas):
+            calls.append(len(models))
+            return cells(models, datas)
+
+        monkeypatch.setattr(bench, "train_cells", counting_cells)
+        report = run_sweep(pima_dataset, SweepConfig(repeats=1, selection=SelectionConfig()))
+        assert len(report.records) == 90
+        assert len(calls) == 1
+        assert len({r.train_ms for r in report.records}) == 1
 
     def test_one_cell_batches_give_identical_records(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -39,6 +39,16 @@ class TestCorrelation:
         with pytest.raises(MeasureError, match="zero-variance"):
             correlation([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value", [5.0, 0.1, 1 / 3, -2.7])
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_every_constant_input_raises(self, value, m):
+        # whether or not the mean of m copies of value is exact: the mean of
+        # three copies of 0.1 is not, and leaves a nonzero spread
+        ramp = np.arange(m, dtype=np.float64)
+        for x, y in (([value] * m, ramp), (ramp, [value] * m), ([value] * m, [value] * m)):
+            with pytest.raises(MeasureError, match="zero-variance"):
+                correlation(x, y)
+
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=10), rng.normal(size=10)
@@ -59,9 +69,10 @@ class TestCorrelation:
 
 
 def gain(a, b) -> float:
-    """Multi-class ``c_correlation`` of the column b against the class ids a;
-    b has at most 10 distinct values, so each value is its own bin."""
-    return float(c_correlation(np.asarray(b, dtype=np.float64)[:, None], a, 3)[0])
+    """Multi-class ``c_correlation`` of the column b against the class ids a,
+    with at least 3 classes and room for every id in a; b has at most 10
+    distinct values, so each value is its own bin."""
+    return float(c_correlation(np.asarray(b, dtype=np.float64)[:, None], a, max([2, *a]) + 1)[0])
 
 
 class TestEntropy:
@@ -257,6 +268,31 @@ class TestCCorrelation:
         else:  # one class carries no information
             assert c_correlation(x, same, classes).tolist() == [0.0] * 6
 
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_label_outside_classes_raises(self, classes):
+        x = np.arange(12.0).reshape(6, 2)
+        for bad in (classes, -1):
+            labels = np.array([0, 1, 1, 0, bad, 1])
+            with pytest.raises(MeasureError, match="class ids"):
+                c_correlation(x, labels, classes)
+        with pytest.raises(MeasureError, match="class ids"):
+            c_correlation(x, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), classes)
+
+    def test_multiclass_labels_are_used_as_ids(self):
+        # no copy or inverse of the labels: one 100000x20, 5-class call peaks
+        # at the temporaries of one column block
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(100_000, 20))
+        labels = rng.integers(0, 5, size=100_000)
+        c_correlation(x[:100], labels[:100], 5)  # numpy's lazy imports are not the call's
+        tracemalloc.start()
+        try:
+            c_correlation(x, labels, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
     def test_multiclass_peak_memory_bounded_by_block(self):
         rng = np.random.default_rng(41)
