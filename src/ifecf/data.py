@@ -127,9 +127,10 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     first-appearance order. Blank lines are skipped, and errors name the
     file's physical line. Rows are parsed in blocks of about ``BLOCK_CELLS``
     cells, so memory stays near one float64 copy of the features. Blocks of
-    lines with no quote character go to numpy's C reader; from the first
-    quote on, the ``csv`` module reads the rest, as a quoted field may span
-    lines.
+    lines with no quote character go to numpy's C reader; a block it rejects,
+    and from the first quote on every block, is read as rows (through the
+    ``csv`` module, as a quoted field may span lines) and parsed by
+    ``float()``.
     """
     path = Path(path)
     if not path.exists():
@@ -165,11 +166,6 @@ def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
     header = [c.strip() for c in head[1]]
     arity = len(header)
     fast = arity > 1 and delimiter != " " and '"' not in line
-    blocks = _blocks(path, fh, delimiter, max(1, BLOCK_CELLS // arity), lineno + 1,
-                     None if fast else rows)
-    first = next(blocks, None)
-    if first is None:
-        raise DataError(f"{path}: need a header row and at least one data row")
     if class_column is None:
         class_idx = arity - 1
     elif isinstance(class_column, int):
@@ -188,26 +184,18 @@ def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
     features = np.empty((_line_bound(path), arity - 1))
     labels = np.empty(len(features), dtype=np.int64)
     m = 0
-    for start, block in chain([first], blocks):
-        parsed = None if start is None else _parse_lines(block, arity, class_idx, delimiter)
-        if parsed is None:
-            if start is not None:
-                block = list(_numbered_rows(path, block, delimiter, start))
-            parsed = _parse_block(block, arity, class_idx)
-            if parsed is None:
-                raise _first_bad_cell(path, block, header, class_idx)
-        feats, tokens = parsed
+    for feats, tokens in _blocks(path, fh, None if fast else rows, header, class_idx,
+                                 delimiter, lineno + 1):
         k = len(tokens)
         features[m:m + k] = feats
         labels[m:m + k] = [ids.setdefault(t, len(ids)) for t in map(str.strip, tokens)]
         m += k
-        del block, parsed, feats, tokens  # free this block before reading the next
 
     feature_names = tuple(h for i, h in enumerate(header) if i != class_idx)
+    if m == 0:
+        raise DataError(f"{path}: need a header row and at least one data row")
     if len(ids) < 2:
         raise DataError(f"{path}: single-class dataset, classification undefined")
-    if m < 2:
-        raise DataError(f"{path}: need at least 2 instances")
     features.resize((m, arity - 1), refcheck=False)  # in place: no second copy
     labels.resize(m, refcheck=False)
     return Dataset(features, labels, feature_names, tuple(ids))
@@ -226,22 +214,29 @@ def _line_bound(path: Path) -> int:
     return bound
 
 
-def _blocks(path: Path, fh, delimiter: str, block_rows: int, lineno: int, rows=None):
-    """Yield the data in blocks of about ``block_rows`` rows: (number of the
-    first line, lines) for lines with no quote character, and (None, numbered
-    rows) from ``rows`` or, from the first block with a quote, from the
-    ``csv`` module, as a quoted field may span lines."""
+def _blocks(path: Path, fh, rows, header: list[str], class_idx: int, delimiter: str,
+            lineno: int):
+    """Yield (features, label tokens) of the data in blocks of about
+    ``BLOCK_CELLS`` cells, the first line of ``fh`` being line ``lineno``.
+    A block of lines with no quote character goes to ``_parse_lines``, and
+    to ``_parse_rows`` if numpy rejects it. From the first block with a
+    quote on, or from the start when the numbered ``rows`` are given, every
+    block goes to ``_parse_rows``, as a quoted field may span lines."""
+    arity = len(header)
+    block_rows = max(1, BLOCK_CELLS // arity)
     while rows is None:
         lines = list(islice(fh, block_rows))
         if not lines:
             return
         if any(map(contains, lines, repeat('"'))):
             rows = _numbered_rows(path, chain(lines, fh), delimiter, lineno)
-        elif any(ln.strip("\r\n") for ln in lines):
-            yield lineno, lines
+        else:
+            yield (_parse_lines(lines, arity, class_idx, delimiter)
+                   or _parse_rows(path, list(_numbered_rows(path, lines, delimiter, lineno)),
+                                  header, class_idx))
         lineno += len(lines)
     while block := list(islice(rows, block_rows)):
-        yield None, block
+        yield _parse_rows(path, block, header, class_idx)
 
 
 def _numbered_rows(path: Path, lines, delimiter: str, lineno: int):
@@ -282,41 +277,37 @@ def _parse_lines(lines: list[str], arity: int, class_idx: int, delimiter: str):
     return feats, [ln.split(delimiter)[class_idx] for ln in lines]
 
 
-def _parse_block(block, arity: int, class_idx: int):
-    """(features, label tokens) of a block of numbered rows, or None when a row
-    has the wrong arity or a feature cell is non-numeric or non-finite."""
-    rows = [row for _, row in block]
-    if any(len(row) != arity for row in rows):
-        return None
-    cells = list(chain.from_iterable(rows))
-    tokens = cells[class_idx::arity]
-    del cells[class_idx::arity]
-    try:
-        feats = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        return None
-    if not np.isfinite(feats).all():
-        return None
-    return feats.reshape(len(rows), arity - 1), tokens
-
-
-def _first_bad_cell(path: Path, block, header: list[str], class_idx: int) -> DataError:
-    """The error for the first bad row or cell of a block, in file order."""
+def _parse_rows(path: Path, block, header: list[str], class_idx: int):
+    """(features, label tokens) of a block of numbered rows through
+    ``float()``. A block that does not parse in one pass is walked in file
+    order, and its first row of the wrong arity, or feature cell that
+    ``float()`` rejects or that is non-finite, raises DataError."""
     arity = len(header)
+    if all(len(row) == arity for _, row in block):
+        cells = list(chain.from_iterable(row for _, row in block))
+        tokens = cells[class_idx::arity]
+        del cells[class_idx::arity]
+        try:
+            feats = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(feats).all():
+                return feats.reshape(len(block), arity - 1), tokens
     for lineno, row in block:
         if len(row) != arity:
-            return DataError(f"{path}:{lineno}: expected {arity} cells, got {len(row)}")
+            raise DataError(f"{path}:{lineno}: expected {arity} cells, got {len(row)}")
         for j, cell in enumerate(row):
             if j == class_idx:
                 continue
             try:
                 v = float(cell)
             except ValueError:
-                return DataError(
+                raise DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {header[j]!r}"
-                )
+                ) from None
             if not math.isfinite(v):
-                return DataError(f"{path}:{lineno}: non-finite value in column {header[j]!r}")
+                raise DataError(f"{path}:{lineno}: non-finite value in column {header[j]!r}")
     raise AssertionError("block parsed cleanly")
 
 

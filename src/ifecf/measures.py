@@ -44,12 +44,21 @@ def dispersion_scores(features: np.ndarray) -> np.ndarray:
     Single vectorized pass, linear in the number of features.
     """
     means = features.mean(axis=0)
-    dev = features - means
-    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
+    dev, dev_exps = _pow2_scale(features - means)
+    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))  # each sigma / 2**dev_exps
+    mantissas, mean_exps = np.frexp(means)
     out = np.full(features.shape[1], np.nan)
     nz = means != 0
-    out[nz] = np.abs(sigma[nz] / means[nz])
+    out[nz] = np.abs(np.ldexp(sigma[nz] / mantissas[nz], (dev_exps - mean_exps)[nz]))
     return out
+
+
+def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` with each column scaled in place by the power of two that brings
+    its largest |value| into [0.5, 1), and the exponents divided out. The
+    scaling is exact, and squares of the scaled values stay in range."""
+    _, exponents = np.frexp(np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)))
+    return np.ldexp(a, -exponents, out=a), exponents
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column centred and scaled to unit norm, and the mask of the columns
     that vary; a column that holds one value is all 0."""
     scaled = features - features.mean(axis=0)
+    _pow2_scale(scaled)
     norms = np.sqrt((scaled**2).sum(axis=0))
     ok = (norms > 0) & (features != features[:1]).any(axis=0)
     np.divide(scaled, norms, out=scaled, where=ok)

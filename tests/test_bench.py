@@ -255,6 +255,13 @@ class TestRunSweep:
             f"{platform.system()}-{platform.release()}-{platform.machine()}"
             f" python {platform.python_version()} numpy {np.__version__}")
 
+    def test_split_failure_names_the_cell(self):
+        # round(0.05 * 6) = 0 train rows
+        d = random_dataset(np.random.default_rng(18), m=6, n=2)
+        with pytest.raises(BenchError, match=r"^cell \(0\.05, 0\.3\): fraction 0\.05 on M=6 "
+                                             "leaves an empty partition$"):
+            run_sweep(d, small_sweep(fractions=(0.5, 0.05), alphas=(0.3,)))
+
     def test_earlier_training_error_beats_later_preparation_error(self, monkeypatch):
         d = random_dataset(np.random.default_rng(17), m=60, n=4)
         selected = []

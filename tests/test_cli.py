@@ -9,7 +9,7 @@ from ifecf import __version__, cli, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv
 from ifecf.measures import FeatureStats
-from ifecf.select import SelectionConfig, cfs_search
+from ifecf.select import SelectionConfig, cfs_search, relief
 from oracles import exhaustive_search
 
 
@@ -48,6 +48,17 @@ class TestStats:
         write_csv(d, p)
         assert main(["stats", str(p)]) == 0
         assert "undef" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("class_column, code", [("0", 0), ("cls", 0), ("3", 2), ("nope", 2)])
+    def test_class_column(self, tmp_path, capsys, class_column, code):
+        p = tmp_path / "cls.csv"
+        p.write_text("cls,a,b\nx,1,2\ny,3,5\nx,2,2\n")
+        assert main(["stats", str(p), "--class-column", class_column]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert [r.split()[1] for r in out.splitlines()[2:]] == ["a", "b"]
+        else:
+            assert "class column" in err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.csv")]) == 2
@@ -120,6 +131,29 @@ class TestSelect:
         assert result.merit_trace
         assert doc == result.to_dict()  # merits too, bit for bit
         assert out.read_text(encoding="utf-8").count("\n") == 0
+
+    def test_relief(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "relief.json"
+        assert main(["select", str(small_csv), "--method", "relief", "--out", str(out)]) == 0
+        weights = relief(load_csv(small_csv), SelectionConfig())
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "relief weights: " + " ".join(f"{w:.4f}" for w in weights), "kept 3/3: f0, f1, f2"]
+        assert json.loads(out.read_text()) == {"kept": [0, 1, 2], "eliminated": [],
+                                               "merit_trace": [], "flags": []}
+        # the informative f0 weighs most; the constant f2 weighs 0
+        threshold = (weights[0] + weights[1]) / 2
+        assert main(["select", str(small_csv), "--method", "relief", "--relief-threshold",
+                     str(threshold), "--out", str(out)]) == 0
+        assert "kept 1/3: f0" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["kept"] == [0]
+        assert [(e["feature"], e["reason"]) for e in doc["eliminated"]] == \
+            [(1, "below-relief-threshold"), (2, "below-relief-threshold")]
+
+    def test_relief_threshold_above_every_weight_exit_3(self, small_csv, capsys):
+        assert main(["select", str(small_csv), "--method", "relief",
+                     "--relief-threshold", "2"]) == 3
+        assert "relief threshold eliminates every feature" in capsys.readouterr().err
 
     def test_all_eliminated_exit_3(self, tmp_path):
         d = make_dataset([[1.0], [1.0001], [1.0], [1.0001]], [0, 1, 0, 1])

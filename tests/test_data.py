@@ -67,6 +67,29 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="single-class"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["", "\n\r\n\n", "a,b,cls\n", "\na,b,cls\n\n\n"],
+                             ids=["empty", "blank-only", "header-only", "header-and-blanks"])
+    def test_no_data_rows(self, tmp_path, text):
+        p = _write(tmp_path, text)
+        with pytest.raises(DataError, match="need a header row and at least one data row"):
+            load_csv(p)
+
+    def test_header_only_names_a_bad_class_column_first(self, tmp_path):
+        # the class column is resolved before the data rows are read
+        p = _write(tmp_path, "a,b,cls\n")
+        with pytest.raises(DataError, match="class column 'nope' not in header"):
+            load_csv(p, class_column="nope")
+
+    @pytest.mark.parametrize("class_column, error", [
+        (3, "class column index 3 out of range"),
+        (-1, "class column index -1 out of range"),
+        ("nope", r"class column 'nope' not in header \['a', 'b', 'cls'\]"),
+    ])
+    def test_bad_class_column(self, tmp_path, class_column, error):
+        p = _write(tmp_path, "a,b,cls\n1,2,x\n3,4,y\n")
+        with pytest.raises(DataError, match=error):
+            load_csv(p, class_column=class_column)
+
     def test_space_delimited(self, tmp_path):
         p = _write(tmp_path, "a b cls\n1 2 x\n3 4 y\n")
         d = load_csv(p, delimiter=" ")
@@ -323,6 +346,12 @@ class TestDataset:
         with pytest.raises(DataError, match="non-finite"):
             make_dataset([[np.nan], [1.0]], [0, 1])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(DataError, match="at least 1 row and 1 feature"):
+            Dataset(np.zeros(shape), np.zeros(shape[0], dtype=np.int64),
+                    tuple(f"f{j}" for j in range(shape[1])), ("x", "y"))
+
     def test_project_order(self):
         d = make_dataset([[1, 2, 3], [4, 5, 6]], [0, 1])
         p = d.project([2, 0])
@@ -375,6 +404,22 @@ class TestSplit:
         d = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
         with pytest.raises(DataError, match="single instance"):
             split(d, SplitSpec(0.5))
+
+    def test_floor_overshoot_gives_rows_back(self):
+        # floors 0/0/6 clamp up to 1/1/6, one over round(0.2 * 34) = 7: the
+        # class with the smallest remainder gives a row back
+        labels = np.repeat([0, 1, 2], [2, 2, 30])
+        d = make_dataset(np.arange(34.0).reshape(-1, 1), labels)
+        train, test = split(d, SplitSpec(0.2, seed=3))
+        assert np.bincount(train.labels).tolist() == [1, 1, 5]
+        assert np.bincount(test.labels).tolist() == [1, 1, 25]
+
+    def test_floor_overshoot_that_cannot_be_given_back(self):
+        # one train row per class is 3, over round(0.1 * 24) = 2
+        labels = np.repeat([0, 1, 2], [2, 2, 20])
+        d = make_dataset(np.arange(24.0).reshape(-1, 1), labels)
+        with pytest.raises(DataError, match="stratified split impossible at this fraction"):
+            split(d, SplitSpec(0.1))
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -12,6 +12,7 @@ from ifecf.measures import (
     c_correlation,
     correlation,
     dispersion_scores,
+    f_correlation_matrix,
     feature_stats,
 )
 from oracles import (
@@ -170,6 +171,48 @@ class TestDispersion:
         rng = np.random.default_rng(seed)
         x = rng.uniform(1, 10, size=12)
         assert dispersion(c * x) == pytest.approx(dispersion(x), rel=1e-9)
+
+
+class TestExtremeMagnitudes:
+    """Columns are scaled by a power of two before squaring, so a finite
+    column of any magnitude scores as the same column at unit scale does."""
+
+    def test_correlation_of_huge_values(self):
+        x = np.array([1e200, -1e200, 1e200, 0.0])
+        y = [1.0, 0.0, 1.0, 0.5]
+        assert correlation(x, y) == pytest.approx(correlation(x / 1e200, y), abs=1e-15)
+        assert correlation(x, y) == pytest.approx(1.0)
+
+    def test_correlation_of_tiny_values(self):
+        x = [1e-170, 2e-170, 3e-170]
+        assert correlation(x, [1, 2, 3]) == pytest.approx(1.0)
+
+    def test_two_class_c_correlation_of_huge_values(self):
+        x = np.array([[1e200], [-1e200], [1e200], [0.0]])
+        labels = np.array([1, 0, 1, 0])
+        assert c_correlation(x, labels, 2) == pytest.approx(c_correlation(x / 1e200, labels, 2))
+        assert c_correlation(x, labels, 2)[0] > 0.9
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_f_correlation_matrix(self, scale):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(30, 3))
+        x[:, 1] = 2 * x[:, 0] + 0.1 * x[:, 1]
+        assert np.allclose(f_correlation_matrix(x * scale), f_correlation_matrix(x),
+                           rtol=1e-12, atol=0)
+
+    def test_dispersion_of_tiny_values(self):
+        assert dispersion([1e-170, 2e-170, 3e-170]) == pytest.approx(dispersion([1, 2, 3]))
+
+    def test_dispersion_of_a_near_zero_mean(self):
+        # deviations near 1 over a mean near 1e-300: a ratio near 1e300, not inf
+        assert dispersion([1.0, -1.0, 3e-300]) == pytest.approx(math.sqrt(2 / 3) * 1e300)
+
+    def test_dispersion_of_huge_values(self):
+        x = [1e200, 1.0000001e200, 0.9999999e200]
+        unit = dispersion([1.0, 1.0000001, 0.9999999])
+        assert unit == pytest.approx(8.16e-08, rel=1e-3)
+        assert dispersion(x) == pytest.approx(unit, rel=1e-6)
 
 
 class TestDiscretizer:

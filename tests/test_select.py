@@ -119,6 +119,34 @@ class TestIfeCf:
         assert pass1(r1) == pass1(r2)
 
 
+    def test_tiny_informative_column_kept(self):
+        # squares of 1e-170 deviations underflow; scaled first, the column
+        # passes the dispersion and class-correlation floors as at unit scale
+        rng = np.random.default_rng(7)
+        labels = np.repeat([0, 1], 20)
+        x = np.column_stack([labels + 5 + rng.normal(0, 0.3, 40), rng.normal(size=40) + 5])
+        unit = ife_cf(make_dataset(x, labels), SelectionConfig())
+        tiny = ife_cf(make_dataset(x * [1e-170, 1.0], labels), SelectionConfig())
+        assert 0 in unit.kept
+        assert tiny.kept == unit.kept
+
+    @pytest.mark.parametrize("seed, mix, tau_f", [
+        (5, lambda a, b, noise: a + noise, 0.95),  # c redundant with a only
+        # c redundant with a and with b, which is not redundant with a
+        (2, lambda a, b, noise: (a + b) / 2 + 3 * noise, 0.825),
+    ], ids=["with-a", "with-a-and-b"])
+    def test_feature_dropped_once(self, seed, mix, tau_f):
+        # relevance order a, b, c: once a drops c, b's walk skips it
+        rng = np.random.default_rng(seed)
+        y = np.repeat([0, 1], 30)
+        a = y + 5 + rng.normal(0, 0.2, 60)
+        b = y + 5 + rng.normal(0, 0.25, 60)
+        c = mix(a, b, rng.normal(0, 0.1, 60))
+        r = ife_cf(make_dataset(np.column_stack([a, b, c]), y), open_config(tau_f=tau_f))
+        assert r.kept == [0, 1]
+        assert [(j, reason) for j, reason, _ in r.eliminated] == [(2, "redundant-with(0)")]
+
+
 class TestMerit:
     def test_k1_equals_ccorr(self):
         rng = np.random.default_rng(7)
