@@ -134,7 +134,7 @@ def cmd_select(args) -> int:
     kept_names = [d.feature_names[j] for j in result.kept]
     print(f"kept {len(result.kept)}/{d.n_features}: {', '.join(kept_names)}")
     if result.merit_trace:
-        best = max(m for _, m in result.merit_trace)
+        best = max(m for _, _, m in result.merit_trace)
         print(f"best merit: {best:.6f}")
     if result.eliminated:
         rows = [

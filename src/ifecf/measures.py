@@ -39,26 +39,26 @@ def correlation(x, y) -> float:
 
 def dispersion_scores(features: np.ndarray) -> np.ndarray:
     """Per-column coefficient of dispersion |sigma/mean| with population std;
-    NaN marks zero-mean columns.
-
-    Single vectorized pass, linear in the number of features.
-    """
-    means = features.mean(axis=0)
-    dev, dev_exps = _pow2_scale(features - means)
-    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))  # each sigma / 2**dev_exps
-    mantissas, mean_exps = np.frexp(means)
-    out = np.full(features.shape[1], np.nan)
+    NaN marks zero-mean columns. The ratio is free of scale, so it is taken
+    of the columns as ``_pow2_scaled`` scales them."""
+    dev = _pow2_scaled(features)
+    means = dev.mean(axis=0)
+    dev -= means
+    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
+    out = np.full(means.size, np.nan)
     nz = means != 0
-    out[nz] = np.abs(np.ldexp(sigma[nz] / mantissas[nz], (dev_exps - mean_exps)[nz]))
+    out[nz] = np.abs(sigma[nz] / means[nz])
     return out
 
 
-def _pow2_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` with each column scaled in place by the power of two that brings
-    its largest |value| into [0.5, 1), and the exponents divided out. The
-    scaling is exact, and squares of the scaled values stay in range."""
+def _pow2_scaled(features) -> np.ndarray:
+    """A float64 copy of ``features`` with each column scaled by the power of
+    two that brings its largest |value| into [0.5, 1). The scaling is exact.
+    The column sums cannot overflow, and the largest deviation from the
+    column mean is 0 or at least 2**-54, so its square is in range."""
+    a = np.array(features, dtype=np.float64)
     _, exponents = np.frexp(np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)))
-    return np.ldexp(a, -exponents, out=a), exponents
+    return np.ldexp(a, -exponents, out=a)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class FeatureStats:
 def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column centred and scaled to unit norm, and the mask of the columns
     that vary; a column that holds one value is all 0."""
-    scaled = features - features.mean(axis=0)
-    _pow2_scale(scaled)
+    scaled = _pow2_scaled(features)
+    scaled -= scaled.mean(axis=0)
     norms = np.sqrt((scaled**2).sum(axis=0))
     ok = (norms > 0) & (features != features[:1]).any(axis=0)
     np.divide(scaled, norms, out=scaled, where=ok)

@@ -4,6 +4,7 @@ search, and Relief weighting."""
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ class SelectionResult:
 
     kept: list[int]
     eliminated: list[tuple[int, str, float]] = field(default_factory=list)
-    merit_trace: list[tuple[tuple[int, ...], float]] = field(default_factory=list)
+    merit_trace: list[tuple[int, int, float]] = field(default_factory=list)
     flags: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -57,7 +58,7 @@ class SelectionResult:
                 {"feature": i, "reason": r, "score": s} for i, r, s in self.eliminated
             ],
             "merit_trace": [
-                {"subset": list(sub), "merit": m} for sub, m in self.merit_trace
+                {"parent": p, "feature": f, "merit": m} for p, f, m in self.merit_trace
             ],
             "flags": [{"feature": i, "note": n} for i, n in self.flags],
         }
@@ -101,22 +102,18 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
 
     # descending relevance; equal scores keep the lower index first
     order = sorted(survivors, key=lambda j: (-cc[j], j))
-    dropped: set[int] = set()
+    keep = np.ones(len(order), dtype=bool)
     if order:
         rmat = f_correlation_matrix(train.features[:, order])
         for pos, j in enumerate(order):
-            if j in dropped:
+            if not keep[pos]:
                 continue
-            for qos in range(pos + 1, len(order)):
-                k = order[qos]
-                if k in dropped:
-                    continue
-                r = float(rmat[pos, qos])
-                if r > cfg.tau_f:
-                    dropped.add(k)
-                    result.eliminated.append((k, f"redundant-with({j})", r))
+            later = pos + 1 + np.flatnonzero(keep[pos + 1:] & (rmat[pos, pos + 1:] > cfg.tau_f))
+            keep[later] = False
+            result.eliminated.extend((order[q], f"redundant-with({j})", r)
+                                     for q, r in zip(later.tolist(), rmat[pos, later].tolist()))
 
-    result.kept = sorted(j for j in order if j not in dropped)
+    result.kept = sorted(j for j, k in zip(order, keep.tolist()) if k)
     if not result.kept:
         raise SelectionError("all features eliminated; relax delta/tau_c/tau_f")
     return result
@@ -145,48 +142,48 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     Starts from the empty set, expands the best open subset by one unused
     feature at a time, and stops after ``bffs_patience`` consecutive
     expansions that fail to improve the best merit seen. Each open subset
-    carries its sums of class and pairwise feature correlations, so a
-    child's merit costs one row of the |r| matrix over the parent's members.
+    carries its sums of class and pairwise feature correlations, so one
+    expansion scores all children from one row sum of the |r| matrix, in
+    ``merit_value``'s float order. The trace holds ``(parent, feature,
+    merit)`` per scored subset: its parent's trace index (-1: the empty set).
     """
-    n = train.n_features
-    cc = c_correlation(train.features, train.labels, train.class_count).tolist()
+    cc = c_correlation(train.features, train.labels, train.class_count)
     rmat = f_correlation_matrix(train.features)
-    trace: list[tuple[tuple[int, ...], float]] = []
-    # (-merit, subset, sum of |r_cf|, sum of pairwise r_ff); subsets are unique,
-    # so the heap orders on (-merit, subset) alone
-    open_heap: list[tuple[float, tuple[int, ...], float, float]] = [(0.0, (), 0.0, 0.0)]
+    trace: list[tuple[int, int, float]] = []
+    # (-merit, subset, trace index, sum of |r_cf|, sum of pairwise r_ff); subsets
+    # are unique, so the heap orders on (-merit, subset) alone
+    open_heap: list[tuple[float, tuple[int, ...], int, float, float]] = [(0.0, (), -1, 0.0, 0.0)]
     seen: set[tuple[int, ...]] = {()}
     best_subset: tuple[int, ...] = ()
     best_merit = -math.inf
     stall = 0
     while open_heap and stall < cfg.bffs_patience:
-        _, subset, sum_cf, sum_ff = heapq.heappop(open_heap)
+        _, subset, at, sum_cf, sum_ff = heapq.heappop(open_heap)
         k = len(subset) + 1
-        pairs = k * (k - 1) / 2
-        row_sums = rmat[:, list(subset)].sum(axis=1)
+        child_cf = sum_cf + cc
+        child_ff = sum_ff + rmat[:, list(subset)].sum(axis=1)
+        r_ff = child_ff / (k * (k - 1) / 2) if k > 1 else 0.0
+        merits = k * (child_cf / k) / np.sqrt(k + k * (k - 1) * r_ff)
         improved = False
-        for f in range(n):
-            if f in subset:
+        for f, (m, f_cf, f_ff) in enumerate(zip(merits.tolist(), child_cf.tolist(),
+                                                child_ff.tolist())):
+            pos = bisect.bisect(subset, f)
+            if subset[pos - 1:pos] == (f,):
                 continue
-            child = tuple(sorted(subset + (f,)))
+            child = subset[:pos] + (f,) + subset[pos:]
             if child in seen:
                 continue
             seen.add(child)
-            child_cf = sum_cf + cc[f]
-            child_ff = sum_ff + float(row_sums[f])
-            m = merit_value(k, child_cf / k, child_ff / pairs if k > 1 else 0.0)
-            trace.append((child, m))
-            heapq.heappush(open_heap, (-m, child, child_cf, child_ff))
+            heapq.heappush(open_heap, (-m, child, len(trace), f_cf, f_ff))
+            trace.append((at, f, m))
             if m > best_merit + 1e-12:
                 best_merit, best_subset = m, child
                 improved = True
         if subset:  # root expansion just seeds the singletons
             stall = 0 if improved else stall + 1
-    kept = sorted(best_subset)
-    eliminated = [
-        (j, "not-in-best-subset", cc[j]) for j in range(n) if j not in best_subset
-    ]
-    return SelectionResult(kept=kept, eliminated=eliminated, merit_trace=trace)
+    eliminated = [(j, "not-in-best-subset", s) for j, s in enumerate(cc.tolist())
+                  if j not in best_subset]
+    return SelectionResult(kept=list(best_subset), eliminated=eliminated, merit_trace=trace)
 
 
 # Elements of each (picks, M) approximate-distance array in one relief block.

@@ -1,13 +1,15 @@
 """Independent brute-force reference implementations, pure-python loops only.
 
 These deliberately avoid numpy vector paths so they cannot share a bug with
-the library code they check. The two exceptions are bit-exact references:
+the library code they check. The exceptions are bit-exact references:
 the blocked ``lvq.classify_batch`` must equal the whole-array numpy formula
-``classify_batch_unblocked``, and ``select.relief`` must equal the plain
-per-pick numpy scan ``relief_exact``, bit for bit.
+``classify_batch_unblocked``, ``select.relief`` the plain per-pick numpy
+scan ``relief_exact``, and ``select.cfs_search`` the one-child-at-a-time
+search ``cfs_trace_oracle``, bit for bit.
 """
 
 import csv
+import heapq
 import math
 from itertools import combinations
 
@@ -100,6 +102,44 @@ def exhaustive_search(d):
         return merit_oracle(k, sum(r_cf[j] for j in subset) / k, ff)
 
     return exhaustive_best_merit(d.n_features, merit)
+
+
+def cfs_trace_oracle(cc, rmat, patience):
+    """Best-first CFS search over full subsets, scored one child at a time:
+    the scored subsets as (sorted tuple, merit) in scoring order, and the
+    best subset. ``cc`` is the list of class correlations and ``rmat`` the
+    |r| matrix. Each open subset carries its sums of |r_cf| and of pairwise
+    r_ff; a child adds one term to each and goes through ``merit_oracle``,
+    so its merit matches ``select.cfs_search`` bit for bit."""
+    trace = []
+    open_heap = [(0.0, (), 0.0, 0.0)]
+    seen = {()}
+    best_subset, best_merit = (), -math.inf
+    stall = 0
+    while open_heap and stall < patience:
+        _, subset, sum_cf, sum_ff = heapq.heappop(open_heap)
+        k = len(subset) + 1
+        pairs = k * (k - 1) / 2
+        row_sums = rmat[:, list(subset)].sum(axis=1)
+        improved = False
+        for f in range(len(cc)):
+            if f in subset:
+                continue
+            child = tuple(sorted(subset + (f,)))
+            if child in seen:
+                continue
+            seen.add(child)
+            child_cf = sum_cf + cc[f]
+            child_ff = sum_ff + float(row_sums[f])
+            m = merit_oracle(k, child_cf / k, child_ff / pairs if k > 1 else 0.0)
+            trace.append((child, m))
+            heapq.heappush(open_heap, (-m, child, child_cf, child_ff))
+            if m > best_merit + 1e-12:
+                best_merit, best_subset = m, child
+                improved = True
+        if subset:
+            stall = 0 if improved else stall + 1
+    return trace, best_subset
 
 
 def classify_batch_unblocked(codebook, classes, features):

@@ -87,7 +87,7 @@ def test_search_matches_exhaustive():
         n = int(rng.integers(2, 11))
         d = random_dataset(rng, m=int(rng.integers(20, 60)), n=n)
         bffs = cfs_search(d, SelectionConfig(seed=seed))
-        best_bffs = max(m for _, m in bffs.merit_trace)
+        best_bffs = max(m for _, _, m in bffs.merit_trace)
         best_exh, _ = exhaustive_search(d)
         if abs(best_bffs - best_exh) <= 1e-9:
             hits += 1

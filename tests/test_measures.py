@@ -215,6 +215,46 @@ class TestExtremeMagnitudes:
         assert dispersion(x) == pytest.approx(unit, rel=1e-6)
 
 
+class TestNearFloatMax:
+    """Columns are scaled by a power of two before their mean, so a column
+    whose sum would overflow scores as the same column at unit scale does,
+    and a power-of-two multiple of a column scores bit for bit the same."""
+
+    def test_correlation(self):
+        x = [1.5e308, 1.6e308, 0.0]
+        assert correlation(x, [1, 2, 3]) == pytest.approx(corr_oracle([1.5, 1.6, 0.0], [1, 2, 3]))
+        assert correlation(x, [1, 2, 3]) == pytest.approx(-0.8368, abs=1e-4)
+
+    def test_dispersion(self):
+        got = dispersion_scores(np.array([[1.5e308], [1.6e308], [1.0e308]]))
+        assert got[0] == pytest.approx(dispersion_oracle([1.5, 1.6, 1.0]))
+        assert got[0] == pytest.approx(0.192, abs=1e-3)
+
+    def test_f_correlation_matrix(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.5, 1.0, size=(30, 3))
+        x[:, 1] = 0.5 * x[:, 0] + 0.1 * x[:, 1]
+        huge = x * 2.0**1023
+        assert (x.sum(axis=0) >= 2.0).all()  # so each column of huge sums past 2**1024
+        assert f_correlation_matrix(huge).tobytes() == f_correlation_matrix(x).tobytes()
+        assert f_correlation_matrix(x)[0, 1] > 0.9
+
+    def test_two_class_c_correlation(self):
+        x = np.array([[1.5], [1.6], [0.0], [1.0]])
+        labels = np.array([1, 1, 0, 0])
+        unit = c_correlation(x, labels, 2)
+        assert unit[0] == pytest.approx(abs(corr_oracle([1.5, 1.6, 0.0, 1.0], [1, 1, 0, 0])))
+        assert c_correlation(x * 1e308, labels, 2) == pytest.approx(unit)
+        assert c_correlation(x * 2.0**1023, labels, 2).tobytes() == unit.tobytes()
+
+    @pytest.mark.parametrize("exponent", [-1000, 1000, 1022])
+    def test_power_of_two_multiples_keep_their_bits(self, exponent):
+        x = np.random.default_rng(22).uniform(1.0, 3.0, size=(40, 4))
+        scaled = x * 2.0**exponent
+        assert dispersion_scores(scaled).tobytes() == dispersion_scores(x).tobytes()
+        assert f_correlation_matrix(scaled).tobytes() == f_correlation_matrix(x).tobytes()
+
+
 class TestDiscretizer:
     """c_correlation's equal-frequency binning on more than two classes,
     pinned against the information-gain oracle on bins built by hand."""

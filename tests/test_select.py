@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lung_like, make_dataset, random_dataset
+from conftest import lung_like, make_dataset, pima_like, random_dataset
 from ifecf.select import (
     SelectionConfig,
     SelectionError,
@@ -18,6 +18,7 @@ from ifecf.select import (
 from ifecf import select
 from ifecf.measures import c_correlation, f_correlation_matrix
 from oracles import (
+    cfs_trace_oracle,
     dispersion_oracle,
     exhaustive_search,
     info_gain_oracle,
@@ -25,6 +26,15 @@ from oracles import (
     relief_exact,
     relief_oracle,
 )
+
+
+def trace_subsets(trace):
+    """The subset of each compact ``merit_trace`` entry, rebuilt from its
+    parent chain."""
+    subsets = []
+    for parent, f, _ in trace:
+        subsets.append(tuple(sorted((subsets[parent] if parent >= 0 else ()) + (f,))))
+    return subsets
 
 
 def open_config(**kw):
@@ -146,6 +156,35 @@ class TestIfeCf:
         assert r.kept == [0, 1]
         assert [(j, reason) for j, reason, _ in r.eliminated] == [(2, "redundant-with(0)")]
 
+    def test_redundancy_walk_matches_the_pairwise_loop(self):
+        # four noisy copies of each of three columns, then a chain u, u + v, v
+        # in which only the dropped middle link is redundant with v
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 2, 80)
+        base = rng.normal(size=(80, 3)) + labels[:, None]
+        u, v = 2 * labels + rng.normal(size=80), 1.5 * rng.normal(size=80)
+        x = np.column_stack([np.repeat(base, 4, axis=1) + 0.6 * rng.normal(size=(80, 12)),
+                             u, u + v, v]) + 5
+        d = make_dataset(x, labels)
+        cfg = open_config(tau_f=0.5)
+        cc = c_correlation(d.features, d.labels, 2).tolist()
+        order = sorted(range(15), key=lambda j: (-cc[j], j))
+        rmat = f_correlation_matrix(d.features[:, order])
+        want, dropped = [], set()
+        for pos, j in enumerate(order):
+            if j in dropped:
+                continue
+            for q in range(pos + 1, 15):
+                if order[q] not in dropped and rmat[pos, q] > cfg.tau_f:
+                    dropped.add(order[q])
+                    want.append((order[q], f"redundant-with({j})", float(rmat[pos, q])))
+        r = ife_cf(d, cfg)
+        assert len(want) >= 6
+        assert 14 in r.kept
+        assert r.eliminated == want
+        assert all(type(score) is float for _, _, score in r.eliminated)
+        assert r.kept == sorted(set(range(15)) - dropped)
+
 
 class TestMerit:
     def test_k1_equals_ccorr(self):
@@ -194,7 +233,7 @@ class TestSearch:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             d = random_dataset(rng, m=40, n=int(rng.integers(2, 8)))
-            best_bffs = max(m for _, m in cfs_search(d, SelectionConfig()).merit_trace)
+            best_bffs = max(m for _, _, m in cfs_search(d, SelectionConfig()).merit_trace)
             best_exh, _ = exhaustive_search(d)
             if abs(best_bffs - best_exh) <= 1e-9:
                 hits += 1
@@ -205,7 +244,7 @@ class TestSearch:
             rng = np.random.default_rng(100 + seed)
             d = random_dataset(rng, m=40, n=8)
             exh, _ = exhaustive_search(d)
-            bffs = max(m for _, m in cfs_search(d, SelectionConfig()).merit_trace)
+            bffs = max(m for _, _, m in cfs_search(d, SelectionConfig()).merit_trace)
             assert exh >= bffs - 1e-12
 
     @pytest.mark.parametrize("classes", [2, 3])
@@ -215,9 +254,30 @@ class TestSearch:
         d = random_dataset(rng, m=60, n=9, classes=classes)
         trace = cfs_search(d, SelectionConfig()).merit_trace
         assert len(trace) > 9
-        for subset, m in trace:
+        for subset, (_, _, m) in zip(trace_subsets(trace), trace):
             assert type(m) is float
             assert m == pytest.approx(cfs_merit(d, subset), abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_dataset(np.random.default_rng(24), m=60, n=9),
+        lambda: random_dataset(np.random.default_rng(25), m=60, n=9, classes=3),
+        lung_like,
+        pima_like,
+    ], ids=["two-class", "three-class", "lung_like", "pima_like"])
+    def test_compact_trace_rebuilds_the_full_trace(self, make):
+        d = make()
+        cfg = SelectionConfig()
+        r = cfs_search(d, cfg)
+        cc = c_correlation(d.features, d.labels, d.class_count).tolist()
+        want, best = cfs_trace_oracle(cc, f_correlation_matrix(d.features), cfg.bffs_patience)
+        for i, (parent, f, _) in enumerate(r.merit_trace):
+            assert -1 <= parent < i
+            assert type(f) is int
+        subsets = trace_subsets(r.merit_trace)
+        assert all(len(set(s)) == len(s) for s in subsets)
+        assert subsets == [s for s, _ in want]
+        assert [m.hex() for _, _, m in r.merit_trace] == [m.hex() for _, m in want]
+        assert r.kept == list(best)
 
     def test_strong_single_feature_wins(self):
         rng = np.random.default_rng(13)
@@ -441,4 +501,4 @@ class TestLungLike:
                         (4, 7, 13, 15, 17, 25, 35, 36, 41, 43, 47, 51, 54)]
         cfs = cfs_search(d, SelectionConfig())
         assert cfs.kept == [11, 20, 37, 48]
-        assert max(m for _, m in cfs.merit_trace) == 1.320506380228289
+        assert max(m for _, _, m in cfs.merit_trace) == 1.320506380228289
