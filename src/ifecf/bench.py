@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import platform
-import statistics
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -29,8 +28,11 @@ _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1
 
 # run_sweep trains the cells it has prepared once their partitions and the
 # arrays of their ``train_cells`` call (``lvq.lockstep_nbytes``) hold this
-# many bytes, so its memory stays bounded as M grows.
-BATCH_BYTES = 8 << 20
+# many bytes, so its memory stays bounded as M grows. The 90 cells of the
+# default --select grid on the 768x8 test fixture hold 9.29 MiB (3.09 MiB of
+# partitions, 6.21 MiB of lockstep arrays at the summed width of 15), so
+# they train in one call.
+BATCH_BYTES = 12 << 20
 # A batch of fewer cells trains cell by cell through ``lvq_train``, the same
 # kernel on one cell. Lockstep would not be slower at 2: a 2-cell
 # ``train_cells`` call took 0.51-0.54x the time of two 1-cell calls
@@ -187,6 +189,15 @@ def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
     return records
 
 
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle ones, as
+    ``statistics.median`` gives it; importing ``statistics`` (it pulls in
+    ``fractions`` and ``decimal``) and ``np.median``'s first call (it
+    imports ``numpy.ma``) each cost a CLI start milliseconds."""
+    ordered, half = sorted(values), len(values) // 2
+    return ordered[half] if len(values) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
 def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -> CellRecord:
     scored, extra = _EVAL_PARTITIONS[cfg.eval_target]
     classify_times = []
@@ -205,7 +216,7 @@ def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -
         correct=correct,
         total=total,
         train_ms=train_ms,
-        classify_ms=statistics.median(classify_times),
+        classify_ms=_median(classify_times),
         classify_ms_repeats=classify_times,
         selection=cell.selection,
     )

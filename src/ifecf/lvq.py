@@ -146,18 +146,34 @@ def train(model: LVQModel, data: Dataset) -> LVQModel:
     return train_cells([model], [data])[0]
 
 
-def sum_width(n: int, width: int) -> int:
-    """Columns of a row of ``n`` features, zero-padded to ``width``, over
-    which ``np.add.reduce`` gives the bits of the unpadded row's sum.
+def sum_widths(widths: list[int]) -> list[int]:
+    """For each of a group's cells, given their widths, the columns over
+    which ``train_cells`` sums its squared distances in the layout of
+    ``placement``.
 
-    numpy's pairwise sum adds the columns past the last full block of 8 one
-    at a time, so zero columns in the same block add +0.0: below 128
-    columns any width up to ``n | 7`` keeps the bits, and the widest is
-    taken so that cells whose widths share a block share one sum. From 128
-    columns on, the sum splits the row at a point that moves with the
-    width, so only ``n`` itself is safe. ``tests/test_lvq.py`` checks the
-    rule on the installed numpy."""
-    return n if n >= 128 else min(n | 7, width)
+    numpy's pairwise sum adds a row of fewer than 128 columns as 8 lanes
+    over its full blocks of 8, then a tree over the lanes, then the columns
+    past the last full block one at a time, so zero columns add only +0.0
+    to non-negative squares. Every cell under 128 columns sums over
+    ``8 * L + T`` columns, L the most full blocks and T the largest leftover
+    among those cells: one sum gives each of them the bits of its own. From
+    128 columns on, the sum splits the row at a point that moves with the
+    width, so such a cell sums over its own ``n``. ``tests/test_lvq.py``
+    checks the rule on the installed numpy."""
+    small = [n for n in widths if n < 128]
+    shared = max((n & ~7 for n in small), default=0) + max((n & 7 for n in small), default=0)
+    return [n if n >= 128 else shared for n in widths]
+
+
+def placement(n: int, summed: int) -> np.ndarray:
+    """Layout column of each of a cell's ``n`` features, when its distances
+    are summed over ``summed`` columns (``sum_widths``): its full blocks of
+    8 first, then its leftover columns from ``summed & ~7`` on, past the
+    full blocks of every cell of the sum. A lone cell's placement is the
+    identity."""
+    cols = np.arange(n)
+    cols[n & ~7:] += (summed & ~7) - (n & ~7)
+    return cols
 
 
 # Visits whose rows and coefficients ``train_cells`` gathers at a time.
@@ -169,9 +185,9 @@ def lockstep_nbytes(models: list[LVQModel], datas: list[Dataset]) -> int:
     stacked rows and class keys when there are several cells, the visit
     order (the largest cell's rows for each cell), and for each cell its
     +-alpha table, chunk buffers, codebook, step buffers and winner mask at
-    the call's width and class count."""
+    the call's width, the widest of ``sum_widths``, and class count."""
     cells, p, chunk = len(models), models[0].codebook.shape[0], CHUNK_VISITS
-    width = max(model.n_features for model in models)
+    width = max(sum_widths([model.n_features for model in models]))
     classes = max(data.class_count for data in datas)
     sizes = [data.n_instances for data in datas]
     words = max(sizes) * cells + (sum(sizes) * (width + 1) if cells > 1 else 0)
@@ -190,13 +206,16 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     The cells are sorted by row count M, largest first, so the cells that
     still have a row at visit t are a prefix ``[:k]``. A lone cell's rows
     and labels are used as they are; several cells' rows are stacked once,
-    zero-padded to the widest cell. Each epoch writes every cell's order as
+    each cell's columns at its ``placement`` in a zero-padded layout as wide
+    as the widest of ``sum_widths``. Each epoch writes every cell's order as
     row indices. ``CHUNK_VISITS`` visits at a time, the rows, repeated over
     the prototypes, and their +-alpha for each prototype, repeated over the
     columns, are gathered into buffers, so that each visit updates the
     winning prototype of all k cells with a few numpy operations on arrays
     of one shape. A cell's squared distances are summed over its first
-    ``sum_width`` columns: one sum per distinct width among the k cells.
+    ``sum_widths`` columns: one sum for all cells under 128 columns, and one
+    more for each distinct width from 128 on among the k cells. The trained
+    codebooks are taken back from the layout in C order.
 
     If cells go non-finite, the first in argument order raises ``LVQError``
     naming the epoch after which it did; training stops once all have.
@@ -211,13 +230,14 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     order = sorted(range(len(models)), key=lambda a: -datas[a].n_instances)
     sizes = [datas[a].n_instances for a in order]
     widths = [models[a].n_features for a in order]
-    cells, width = len(order), max(widths)
+    sums = np.array(sum_widths(widths))
+    cols = [placement(n, s) for n, s in zip(widths, sums.tolist())]
+    cells, width = len(order), int(sums.max())
     class_count = max(data.class_count for data in datas)
-    sums = np.array([sum_width(n, width) for n in widths])
     book = np.zeros((cells, p, width))
     table = np.empty((cells * class_count, p, width))  # row c * class_count + y: label y of cell c
     for c, a in enumerate(order):
-        book[c, :, :widths[c]] = models[a].codebook
+        book[c][:, cols[c]] = models[a].codebook
         alpha = models[a].config.alpha
         same = models[a].classes == np.arange(class_count)[:, None]
         table[c * class_count:(c + 1) * class_count] = np.where(same, alpha, -alpha)[:, :, None]
@@ -228,7 +248,7 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
         rows = np.zeros((sum(sizes), width))
         keys = np.empty(sum(sizes), dtype=np.intp)
         for c, a in enumerate(order):
-            rows[starts[c]:starts[c] + sizes[c], :widths[c]] = datas[a].features
+            rows[starts[c]:starts[c] + sizes[c], cols[c]] = datas[a].features
             np.add(datas[a].labels, c * class_count, out=keys[starts[c]:starts[c] + sizes[c]])
     visit = np.empty((sizes[0], cells), dtype=np.intp)  # visit t's row of each cell
     # chunk buffers, viewed for a run of k active cells as their first
@@ -297,7 +317,7 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
         raise LVQError(f"non-finite prototype after epoch {failed[min(failed)]}")
     out: list = [None] * cells
     for c, a in enumerate(order):
-        out[a] = replace(models[a], codebook=book[c, :, :widths[c]].copy(),
+        out[a] = replace(models[a], codebook=book[c].take(cols[c], axis=1),
                          classes=models[a].classes.copy(),
                          epochs_run=models[a].epochs_run + epochs)
     return out

@@ -191,14 +191,13 @@ class TestTrainCells:
         assert_cells_match_train(cells)
 
     def test_mixed_widths_1_to_135_share_one_group(self):
-        # every summed width: the n | 7 bucket below 128 columns, n itself
-        # from 128 on, and the group's width 135 for the widest cell
+        # every summed width: below 128 columns one shared 8 * 15 + 7, and n
+        # itself from 128 on
         widths = (1, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 100, 127, 128, 129, 135)
         cells = [lockstep_cell(70 + i, n, 12 + 7 * (i % 5), alpha=0.02 * (i + 1), epochs=2)
                  for i, n in enumerate(widths)]
         assert cell_groups([model for model, _ in cells]) == [list(range(len(widths)))]
-        assert [lvq.sum_width(n, 135) for n in widths] == \
-            [7, 7, 7, 7, 15, 15, 15, 23, 23, 63, 71, 103, 127, 128, 129, 135]
+        assert lvq.sum_widths(list(widths)) == [127] * 13 + [128, 129, 135]
         assert_cells_match_train(cells)
 
     def test_summed_widths_decide_near_ties(self):
@@ -262,23 +261,29 @@ class TestTrainCells:
         assert drawn == [2000] * 8
 
     def test_memory_within_lockstep_nbytes(self):
-        # widths 20 to 3 in one group of 5 classes, in two row mixes, and a
-        # lone cell: lockstep_nbytes counts every array the call allocates,
-        # so the peak exceeds it by less than 64 KiB, which covers the
-        # epoch's permutation temporary, the trained codebooks and the
+        # widths 20 to 3 in one group of 5 classes, in two row mixes, a lone
+        # cell, and 8- and 3-wide cells that sum over 11 columns, wider than
+        # the widest cell: lockstep_nbytes counts every array the call
+        # allocates, so the peak exceeds it by less than 64 KiB, which covers
+        # the epoch's permutation temporary, the trained codebooks and the
         # Python objects
-        for rows in ((2000, 2000, 2000, 2000), (2000, 2000, 1500, 100), (2000,)):
+        for widths, rows in (((20, 8, 20, 3), (2000, 2000, 2000, 2000)),
+                             ((20, 8, 20, 3), (2000, 2000, 1500, 100)),
+                             ((20,), (2000,)),
+                             ((8, 3, 8, 3), (2000, 2000, 1500, 100))):
             cells = [lockstep_cell(90 + i, n, m, k=5, epochs=2)
-                     for i, (n, m) in enumerate(zip((20, 8, 20, 3), rows))]
+                     for i, (n, m) in enumerate(zip(widths, rows))]
             models, datas = (list(c) for c in zip(*cells))
             bound = lvq.lockstep_nbytes(models, datas)
             tracemalloc.start()
             try:
-                train_cells(models, datas)
+                trained = train_cells(models, datas)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert 0 < peak - bound < 64 << 10, rows
+            assert all(out.codebook.flags.c_contiguous for out in trained)
+        assert lvq.sum_widths([8, 3, 8, 3]) == [11] * 4
 
     def test_one_cell_streams_its_own_rows(self):
         # a lone cell is trained from its own rows: no copy of them, and no
@@ -310,28 +315,34 @@ class TestTrainCells:
 class TestSumWidth:
     def test_padded_sums_keep_the_bits(self):
         # the rule train_cells sums by, on the installed numpy: a row of n
-        # squares zero-padded to any width, summed over its first
-        # sum_width columns, gives the bits of train's sum of the n squares
+        # squares placed beside a cell of 8 * blocks + 7 columns, zero-padded
+        # to that width and summed over it, gives the bits of train's sum of
+        # the n squares, as a view of a wider buffer and as a dense array;
+        # a lone cell is placed as it is
         rng = np.random.default_rng(80)
-        for n in range(1, 141):
-            sq = (rng.random((12, n)) * 10.0 ** rng.integers(-3, 4, (12, n))) ** 2
-            want = sq.sum(axis=1).tobytes()
-            for width in range(n, 141):
-                padded = np.zeros((3, 4, width))
-                padded[..., :n] = sq.reshape(3, 4, n)
-                s = lvq.sum_width(n, width)
-                assert np.add.reduce(padded[..., :s], axis=2).tobytes() == want, (n, width)
-                dense = np.ascontiguousarray(padded[..., :s])
-                assert np.add.reduce(dense, axis=2).tobytes() == want, (n, width)
+        for n in range(1, 128):
+            assert lvq.sum_widths([n]) == [n]
+            assert lvq.placement(n, n).tolist() == list(range(n))
+            sq = (10.0 ** rng.uniform(-4, 4, (12, n))) ** 2  # squares from 1e-8 to 1e8
+            want = np.add.reduce(sq, axis=1).tobytes()
+            for blocks in range(n // 8, 16):
+                width = 8 * blocks + 7
+                assert lvq.sum_widths([n, width]) == [width, width]
+                placed = np.zeros((3, 4, width + 1))
+                placed[..., lvq.placement(n, width)] = sq.reshape(3, 4, n)
+                view = placed[..., :width]
+                assert np.add.reduce(view, axis=2).tobytes() == want, (n, blocks)
+                dense = np.ascontiguousarray(view)
+                assert np.add.reduce(dense, axis=2).tobytes() == want, (n, blocks)
 
     @pytest.mark.parametrize("n, wider", [(5, 8), (13, 16), (100, 104), (130, 144)])
     def test_summing_across_a_block_changes_bits(self, n, wider):
-        # past n | 7 (or past n from 128 on) the zero columns regroup the sum
+        # zero columns past the leftover ones in a new block (or past n from
+        # 128 on) regroup the sum
         rng = np.random.default_rng(n)
         x = rng.random((400, n)) * 10.0 ** rng.integers(-3, 4, (400, n))
         padded = np.zeros((400, wider))
         padded[:, :n] = x
-        assert lvq.sum_width(n, wider) < wider
         assert not np.array_equal(np.add.reduce(padded, axis=1), np.add.reduce(x, axis=1))
 
 
