@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class SweepConfig:
             raise BenchError("fractions must lie in (0,1)")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise BenchError("alphas must lie in (0,1)")
+        for name, values in (("fractions", self.fractions), ("alphas", self.alphas)):
+            if len(set(values)) < len(values):  # two cells would share one name
+                raise BenchError(f"{name} must not repeat a value")
         if self.repeats < 1:
             raise BenchError("repeats must be >= 1")
         if self.epochs < 1:
@@ -77,27 +80,13 @@ class SweepConfig:
 
 
 @dataclass
-class CellRecord:
-    fraction: float
-    alpha: float
-    variant: str  # original | reduced
-    accuracy: float  # percent, on eval_target
-    paper_efficiency: float  # percent, whole-dataset correct over test count
-    correct: int
-    total: int
-    train_ms: float
-    classify_ms: float
-    classify_ms_repeats: list[float] = field(default_factory=list)
-    selection: dict | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class SweepReport:
+    """A sweep's config, its records and the environment that ran it. Each
+    record is the dict that ``report.json`` stores (``_evaluate`` builds
+    it); ``variant_grid`` reads them as a grid."""
+
     config: SweepConfig
-    records: list[CellRecord]
+    records: list[dict]
     environment: str = ""
 
     def to_dict(self) -> dict:
@@ -108,24 +97,30 @@ class SweepReport:
             "seed": self.config.seed,
             "eval_target": self.config.eval_target,
             "environment": self.environment,
-            "records": [r.to_dict() for r in self.records],
+            "records": self.records,
         }
 
     def accuracy_table(self, variant: str) -> list[list]:
         """Rows: one per fraction; columns: split label then accuracy per alpha."""
-        # reversed: a grid that repeats a value reads its first record, as before
-        cells = {(r.fraction, r.alpha): r for r in reversed(self.records)
-                 if r.variant == variant}
-        rows = []
-        for f in self.config.fractions:
-            row = [f"{round(f * 100)}-{round((1 - f) * 100)}"]
-            for a in self.config.alphas:
-                cell = cells.get((f, a))
-                if cell is None:
-                    raise BenchError(f"no record for cell ({f}, {a}, {variant})")
-                row.append(f"{cell.accuracy:.2f}")
-            rows.append(row)
-        return rows
+        return [[f"{round(f * 100)}-{round((1 - f) * 100)}"]
+                + [f"{r['accuracy']:.2f}" for r in row]
+                for f, row in zip(self.config.fractions, variant_grid(self.to_dict(), variant))]
+
+
+def variant_grid(report: dict, variant: str) -> list[list[dict]]:
+    """The records of ``variant`` in a ``report.json`` dict as one row per
+    fraction and one record per alpha, read in the order ``run_sweep``
+    writes them (fraction-major). Raises ``BenchError`` unless they fill
+    the grid exactly."""
+    records = [r for r in report["records"] if r["variant"] == variant]
+    cells = [(f, a) for f in report["fractions"] for a in report["alphas"]]
+    for i, (f, a) in enumerate(cells):
+        if i == len(records) or (records[i]["fraction"], records[i]["alpha"]) != (f, a):
+            raise BenchError(f"no record for cell ({f}, {a}, {variant})")
+    if len(records) > len(cells):
+        raise BenchError(f"{len(records)} {variant} records for {len(cells)} grid cells")
+    n = len(report["alphas"])
+    return [records[i * n:(i + 1) * n] for i in range(len(report["fractions"]))]
 
 
 def cell_seed(master: int, fraction_index: int, alpha_index: int) -> int:
@@ -161,7 +156,7 @@ class _Cell:
     twin: dict | None = None
 
 
-def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
+def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[dict]:
     """Train the cells, with one ``train_cells`` call, whose arrays
     ``run_sweep`` sized with ``lockstep_nbytes``, or, below
     ``LOCKSTEP_MIN_CELLS`` cells, one ``lvq_train`` call per cell, and
@@ -184,8 +179,8 @@ def _run_batch(batch: list[_Cell], cfg: SweepConfig) -> list[CellRecord]:
     for cell, model, ms in zip(batch, trained, train_ms):
         records.append(_evaluate(cell, model, ms, cfg))
         if cell.twin is not None:
-            records.append(replace(records[-1], variant="reduced", selection=cell.twin,
-                                   classify_ms_repeats=list(records[-1].classify_ms_repeats)))
+            records.append(dict(records[-1], variant="reduced", selection=cell.twin,
+                                classify_ms_repeats=list(records[-1]["classify_ms_repeats"])))
     return records
 
 
@@ -198,7 +193,7 @@ def _median(values: list[float]) -> float:
     return ordered[half] if len(values) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
-def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -> CellRecord:
+def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -> dict:
     scored, extra = _EVAL_PARTITIONS[cfg.eval_target]
     classify_times = []
     for _ in range(cfg.repeats):
@@ -207,19 +202,13 @@ def _evaluate(cell: _Cell, model: LVQModel, train_ms: float, cfg: SweepConfig) -
         classify_times.append((time.perf_counter() - t0) * 1e3)
     total = sum(cell.parts[k].n_instances for k in scored)
     whole_correct = correct + sum(evaluate(model, cell.parts[k]) for k in extra)
-    return CellRecord(
-        fraction=cell.fraction,
-        alpha=cell.alpha,
-        variant=cell.variant,
-        accuracy=100.0 * correct / total,
-        paper_efficiency=paper_efficiency(whole_correct, cell.parts[1].n_instances),
-        correct=correct,
-        total=total,
-        train_ms=train_ms,
-        classify_ms=_median(classify_times),
-        classify_ms_repeats=classify_times,
-        selection=cell.selection,
-    )
+    # report.json's record, keys in this order
+    return dict(fraction=cell.fraction, alpha=cell.alpha, variant=cell.variant,
+                accuracy=100.0 * correct / total,  # percent, on cfg.eval_target
+                paper_efficiency=paper_efficiency(whole_correct, cell.parts[1].n_instances),
+                correct=correct, total=total, train_ms=train_ms,
+                classify_ms=_median(classify_times), classify_ms_repeats=classify_times,
+                selection=cell.selection)
 
 
 def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
@@ -272,15 +261,17 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
 
     Cells are prepared in grid order. A batch closes once its partitions
     and the arrays of its ``lvq.train_cells`` call (``lvq.lockstep_nbytes``)
-    reach ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it; the
-    records come out in grid order. A reduced variant that keeps every
-    column reuses the original's model: its record copies the original's
-    accuracy and timing fields.
+    reach ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it. The
+    report's records are the dicts that ``report.json`` stores, in grid
+    order (fraction-major, each cell's original before its reduced
+    variant), as ``variant_grid`` reads them. A reduced variant that keeps
+    every column reuses the original's model: its record copies the
+    original's accuracy and timing fields.
 
     Accuracy fields are a pure function of (dataset, config); timing fields
     come from a monotonic clock and vary run to run.
     """
-    records: list[CellRecord] = []
+    records: list[dict] = []
     batch: list[_Cell] = []
     for fi in range(len(cfg.fractions)):
         for ai in range(len(cfg.alphas)):
@@ -311,17 +302,8 @@ def timing_stability(report: SweepReport) -> dict:
     if report.config.repeats < 3:
         raise BenchError("timing_stability needs repeats >= 3")
     cells = []
-    flagged = []
     for r in report.records:
-        lo = min(r.classify_ms_repeats)
-        ratio = max(r.classify_ms_repeats) / lo if lo > 0 else float("inf")
-        entry = {
-            "fraction": r.fraction,
-            "alpha": r.alpha,
-            "variant": r.variant,
-            "spread_ratio": ratio,
-        }
-        cells.append(entry)
-        if ratio > FLAG_RATIO:
-            flagged.append(entry)
-    return {"cells": cells, "flagged": flagged}
+        lo, hi = min(r["classify_ms_repeats"]), max(r["classify_ms_repeats"])
+        cells.append({"fraction": r["fraction"], "alpha": r["alpha"], "variant": r["variant"],
+                      "spread_ratio": hi / lo if lo > 0 else float("inf")})
+    return {"cells": cells, "flagged": [c for c in cells if c["spread_ratio"] > FLAG_RATIO]}

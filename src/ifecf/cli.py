@@ -210,8 +210,27 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    written = sweep_charts(report, args.out)
+    path = args.report
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a JSON report: {exc}") from None
+    lists = ("fractions", "alphas", "records")
+    if not (isinstance(report, dict) and all(isinstance(report.get(k), list) and report[k]
+                                             for k in lists)):
+        raise DataError(f"{path}: a report needs non-empty lists {', '.join(map(repr, lists))}")
+    number = (int, float)
+    if not all(isinstance(v, number) for v in report["fractions"] + report["alphas"]):
+        raise DataError(f"{path}: 'fractions' and 'alphas' must hold numbers")
+    keys = ("fraction", "alpha", "accuracy", "classify_ms")  # what the charts read
+    if not all(isinstance(r, dict) and isinstance(r.get("variant"), str)
+               and all(isinstance(r.get(k), number) for k in keys) for r in report["records"]):
+        raise DataError(f"{path}: every record needs a string 'variant' and the numbers "
+                        f"{', '.join(map(repr, keys))}")
+    try:
+        written = sweep_charts(report, args.out)
+    except BenchError as exc:
+        raise DataError(f"{path}: {exc}") from None
     for p in written:
         print(p)
     return EXIT_OK

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .bench import variant_grid
+
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 _W, _H = 640, 400
@@ -90,22 +92,19 @@ def line_chart(title: str, x_label: str, y_label: str,
 
 
 def sweep_charts(report_dict: dict, out_dir) -> list[Path]:
-    """Emit accuracy-vs-split and time-vs-split charts per variant."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Emit accuracy-vs-split and time-vs-split charts per variant of a
+    ``report.json`` dict, whose records ``bench.variant_grid`` reads."""
     fractions = report_dict["fractions"]
     alphas = report_dict["alphas"]
-    variants = sorted({r["variant"] for r in report_dict["records"]})
+    grids = {v: variant_grid(report_dict, v)
+             for v in sorted({r["variant"] for r in report_dict["records"]})}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for variant in variants:
-        recs = {
-            (r["fraction"], r["alpha"]): r
-            for r in report_dict["records"]
-            if r["variant"] == variant
-        }
+    for variant, grid in grids.items():
         for metric, ylab in (("accuracy", "accuracy (%)"), ("classify_ms", "classify time (ms)")):
             series = {
-                f"alpha={a:g}": [recs[(f, a)][metric] for f in fractions] for a in alphas
+                f"alpha={a:g}": [row[ai][metric] for row in grid] for ai, a in enumerate(alphas)
             }
             svg = line_chart(
                 f"{metric.replace('_', ' ')} vs train split ({variant})",

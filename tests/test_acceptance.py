@@ -198,12 +198,12 @@ def test_directional_timing_reduced_vs_original():
         selection=SelectionConfig(delta=0.01, tau_c=0.0, tau_f=1.0),
     )
     rep = run_sweep(d, cfg)
-    reduced = {(r.fraction, r.alpha): r for r in rep.records if r.variant == "reduced"}
-    original = {(r.fraction, r.alpha): r for r in rep.records if r.variant == "original"}
-    assert all(r.selection["kept_count"] <= n // 2 for r in reduced.values())
+    reduced = {(r["fraction"], r["alpha"]): r for r in rep.records if r["variant"] == "reduced"}
+    original = {(r["fraction"], r["alpha"]): r for r in rep.records if r["variant"] == "original"}
+    assert all(r["selection"]["kept_count"] <= n // 2 for r in reduced.values())
     cells = len(original)
     faster = sum(
-        1 for key in original if reduced[key].classify_ms <= original[key].classify_ms
+        1 for key in original if reduced[key]["classify_ms"] <= original[key]["classify_ms"]
     )
     elapsed = time.perf_counter() - t0
     report(

@@ -14,6 +14,7 @@ from ifecf.bench import (
     paper_efficiency,
     run_sweep,
     timing_stability,
+    variant_grid,
 )
 from ifecf.lvq import LVQError, lockstep_nbytes
 from ifecf.select import SelectionConfig, SelectionError
@@ -22,7 +23,7 @@ from ifecf.select import SelectionConfig, SelectionError
 def accuracy_fields(report):
     keys = ("fraction", "alpha", "variant", "accuracy", "paper_efficiency",
             "correct", "total", "selection")
-    return [[getattr(r, k) for k in keys] for r in report.records]
+    return [[r[k] for k in keys] for r in report.records]
 
 
 def small_sweep(**kw):
@@ -57,6 +58,14 @@ class TestSweepConfig:
         with pytest.raises(BenchError, match=f"{field} must be an integer"):
             SweepConfig(**{field: value})
 
+    def test_repeated_fraction_or_alpha_raises(self):
+        # two cells of one name: the CSVs and charts could not tell them apart
+        with pytest.raises(BenchError, match="^fractions must not repeat a value$"):
+            SweepConfig(fractions=(0.3, 0.3, 0.7))
+        with pytest.raises(BenchError, match="^alphas must not repeat a value$"):
+            SweepConfig(alphas=(0.1, 0.1))
+        assert SweepConfig(fractions=(0.7, 0.3), alphas=(0.2, 0.1)).fractions == (0.7, 0.3)
+
     def test_negative_seed_is_valid(self):
         assert SweepConfig(seed=-3).seed == -3  # cell_seed hashes it
 
@@ -72,7 +81,7 @@ class TestRunSweep:
         d = random_dataset(rng, m=60, n=4)
         report = run_sweep(d, SweepConfig(fractions=(0.5,), alphas=(0.1,), repeats=1))
         assert len(report.records) == 1
-        assert 0.0 <= report.records[0].accuracy <= 100.0
+        assert 0.0 <= report.records[0]["accuracy"] <= 100.0
 
     def test_negative_master_seed(self):
         # cell_seed hashes the master seed, so every cell still gets a seed >= 0
@@ -86,21 +95,21 @@ class TestRunSweep:
         a = run_sweep(d, cfg)
         b = run_sweep(d, cfg)
         for ra, rb in zip(a.records, b.records):
-            assert ra.accuracy == rb.accuracy
-            assert ra.correct == rb.correct
+            assert ra["accuracy"] == rb["accuracy"]
+            assert ra["correct"] == rb["correct"]
 
     def test_paper_efficiency_on_test_counts_is_accuracy(self):
         rng = np.random.default_rng(2)
         d = random_dataset(rng, m=60, n=4)
         report = run_sweep(d, small_sweep(eval_target="test"))
         for r in report.records:
-            assert paper_efficiency(r.correct, r.total) == pytest.approx(r.accuracy)
+            assert paper_efficiency(r["correct"], r["total"]) == pytest.approx(r["accuracy"])
 
     def test_paper_efficiency_can_exceed_100(self):
         rng = np.random.default_rng(3)
         d = random_dataset(rng, m=100, n=4)
         report = run_sweep(d, small_sweep(fractions=(0.9,), alphas=(0.1,)))
-        assert report.records[0].paper_efficiency > 100.0
+        assert report.records[0]["paper_efficiency"] > 100.0
 
     def test_selection_variant_projects_features(self):
         rng = np.random.default_rng(4)
@@ -111,8 +120,8 @@ class TestRunSweep:
         d = make_dataset(x, labels)
         cfg = small_sweep(selection=SelectionConfig(delta=0.01, tau_c=0.1, tau_f=0.9))
         report = run_sweep(d, cfg)
-        reduced = [r for r in report.records if r.variant == "reduced"]
-        assert reduced and all(r.selection["kept_count"] < 3 for r in reduced)
+        reduced = [r for r in report.records if r["variant"] == "reduced"]
+        assert reduced and all(r["selection"]["kept_count"] < 3 for r in reduced)
 
     def test_whole_count_reuses_target_evaluation(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -131,9 +140,9 @@ class TestRunSweep:
             cfg = small_sweep(fractions=(0.6,), alphas=(0.2,), repeats=2, eval_target=target)
             (rec,) = run_sweep(d, cfg).records
             assert len(calls) == per_cell
-            efficiency[target] = rec.paper_efficiency
+            efficiency[target] = rec["paper_efficiency"]
             if target == "whole":
-                assert rec.paper_efficiency == paper_efficiency(rec.correct, 70 - 42)
+                assert rec["paper_efficiency"] == paper_efficiency(rec["correct"], 70 - 42)
         assert efficiency["test"] == efficiency["train"] == efficiency["whole"]
 
     def test_one_split_per_cell(self, monkeypatch):
@@ -181,10 +190,10 @@ class TestRunSweep:
             [c.model for c in first], [c.parts[0] for c in first]))
         report = run_sweep(d, cfg)
         assert len(report.records) == 8
-        assert [r.selection["kept_count"] for r in report.records[1::2]] == [2, 3, 4, 3]
+        assert [r["selection"]["kept_count"] for r in report.records[1::2]] == [2, 3, 4, 3]
         assert trained == {"single": 1, "lockstep": 6}
-        assert all("train_ms_repeats" not in r.to_dict() for r in report.records)
-        assert all(len(r.classify_ms_repeats) == 3 for r in report.records)
+        assert all("train_ms_repeats" not in r for r in report.records)
+        assert all(len(r["classify_ms_repeats"]) == 3 for r in report.records)
         once = run_sweep(d, small_sweep(repeats=1, selection=selection))
         assert accuracy_fields(report) == accuracy_fields(once)
 
@@ -202,7 +211,7 @@ class TestRunSweep:
         report = run_sweep(pima_dataset, SweepConfig(repeats=1, selection=SelectionConfig()))
         assert len(report.records) == 90
         assert len(calls) == 1
-        assert len({r.train_ms for r in report.records}) == 1
+        assert len({r["train_ms"] for r in report.records}) == 1
 
     def test_one_cell_batches_give_identical_records(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -289,8 +298,8 @@ class TestRunSweep:
     def test_train_ms_shared_within_a_group(self):
         rng = np.random.default_rng(15)
         report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep())
-        assert len({r.train_ms for r in report.records}) == 1
-        assert report.records[0].train_ms > 0
+        assert len({r["train_ms"] for r in report.records}) == 1
+        assert report.records[0]["train_ms"] > 0
 
     def test_reduced_twin_of_an_original_that_keeps_every_column(self, monkeypatch):
         d = random_dataset(np.random.default_rng(18), m=60, n=4)
@@ -303,18 +312,19 @@ class TestRunSweep:
             monkeypatch.setattr(bench, name, counting)
         report = run_sweep(d, small_sweep(repeats=3, selection=selection))
         originals, reduced = report.records[0::2], report.records[1::2]
-        assert [r.variant for r in reduced] == ["reduced"] * 4
-        twins = [i for i, r in enumerate(reduced) if r.selection["kept"] == [0, 1, 2, 3]]
+        assert [r["variant"] for r in reduced] == ["reduced"] * 4
+        twins = [i for i, r in enumerate(reduced) if r["selection"]["kept"] == [0, 1, 2, 3]]
         assert twins == [1, 2, 3]
         # only the cell that drops a column selects and initializes again
         assert calls == {"apply_selection": 2, "init_codebook": 4 + 1}
         for i in twins:
-            assert reduced[i].selection == {"kept_count": 4, "kept": [0, 1, 2, 3],
-                                            "eliminated_count": 0}
-            assert originals[i].selection is None
-            copy = replace(reduced[i], variant="original", selection=None)
+            assert reduced[i]["selection"] == {"kept_count": 4, "kept": [0, 1, 2, 3],
+                                               "eliminated_count": 0}
+            assert originals[i]["selection"] is None
+            copy = dict(reduced[i], variant="original", selection=None)
             assert copy == originals[i]  # accuracy and timing fields alike
-            assert reduced[i].classify_ms_repeats is not originals[i].classify_ms_repeats
+            assert list(copy) == list(originals[i])  # and report.json's key order
+            assert reduced[i]["classify_ms_repeats"] is not originals[i]["classify_ms_repeats"]
         # the twins' fields are what preparing and training the reduced cell
         # again gives
         monkeypatch.undo()
@@ -345,12 +355,12 @@ class TestRunSweep:
         d = make_dataset(x, labels)
         selection = SelectionConfig(delta=0.01, tau_c=0.0, tau_f=1.0)
         full = run_sweep(d, small_sweep(selection=selection, normalize=normalize))
-        reduced = [r for r in full.records if r.variant == "reduced"]
-        assert all(r.selection["kept"] == [0, 1, 3] for r in reduced)
+        reduced = [r for r in full.records if r["variant"] == "reduced"]
+        assert all(r["selection"]["kept"] == [0, 1, 3] for r in reduced)
         projected = run_sweep(d.project([0, 1, 3]), small_sweep(normalize=normalize))
         keys = ("fraction", "alpha", "accuracy", "paper_efficiency", "correct", "total")
-        assert [[getattr(r, k) for k in keys] for r in reduced] == \
-            [[getattr(r, k) for k in keys] for r in projected.records]
+        assert [[r[k] for k in keys] for r in reduced] == \
+            [[r[k] for k in keys] for r in projected.records]
 
 
 class TestAccuracyTable:
@@ -361,12 +371,32 @@ class TestAccuracyTable:
         with pytest.raises(BenchError, match="no record"):
             report.accuracy_table("reduced")
 
-    def test_repeated_fraction_reads_first_record(self):
+    def test_rows_follow_sweep_order(self):
         rng = np.random.default_rng(12)
-        report = run_sweep(random_dataset(rng, m=60, n=4),
-                           small_sweep(fractions=(0.5, 0.5), alphas=(0.1,)))
-        first = f"{report.records[0].accuracy:.2f}"
-        assert [row[1] for row in report.accuracy_table("original")] == [first, first]
+        report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep(alphas=(0.3, 0.1, 0.2)))
+        grid = variant_grid(report.to_dict(), "original")
+        assert [[(r["fraction"], r["alpha"]) for r in row] for row in grid] == \
+            [[(f, a) for a in (0.3, 0.1, 0.2)] for f in (0.5, 0.7)]
+        assert [r for row in grid for r in row] == report.records
+        assert [row[1:] for row in report.accuracy_table("original")] == \
+            [[f"{r['accuracy']:.2f}" for r in row] for row in grid]
+
+    @pytest.mark.parametrize("edit", ["drop", "swap", "extra"])
+    def test_records_that_do_not_fill_the_grid_raise(self, edit):
+        rng = np.random.default_rng(20)
+        doc = run_sweep(random_dataset(rng, m=60, n=4), small_sweep()).to_dict()
+        records = doc["records"]
+        if edit == "drop":
+            del records[1]
+            match = r"^no record for cell \(0\.5, 0\.3, original\)$"
+        elif edit == "swap":  # (0.5, 0.3) and (0.7, 0.1) trade places
+            records[1], records[2] = records[2], records[1]
+            match = r"^no record for cell \(0\.5, 0\.3, original\)$"
+        else:
+            records.append(dict(records[0]))
+            match = r"^5 original records for 4 grid cells$"
+        with pytest.raises(BenchError, match=match):
+            variant_grid(doc, "original")
 
 
 class TestPaperEfficiency:

@@ -350,16 +350,50 @@ class TestBench:
 
 class TestPlot:
     def test_regenerate_from_report(self, small_csv, tmp_path):
-        run_dir = tmp_path / "run"
+        # the charts that bench drew, byte for byte: both read the records
+        # through bench.variant_grid
+        run_dir, plot_dir = tmp_path / "run", tmp_path / "plots"
         args = [
-            "bench", str(small_csv), "--out", str(run_dir),
-            "--fractions", "0.5", "0.7", "--alphas", "0.1", "--repeats", "1",
-            "--epochs", "2", "--no-plot",
+            "bench", str(small_csv), "--out", str(run_dir), "--select", "--tau-c", "0",
+            "--fractions", "0.5", "0.7", "--alphas", "0.2", "0.1", "--repeats", "1",
+            "--epochs", "2",
         ]
         assert main(args) == 0
-        plot_dir = tmp_path / "plots"
         assert main(["plot", str(run_dir / "report.json"), "--out", str(plot_dir)]) == 0
-        assert list(plot_dir.glob("*.svg"))
+        names = sorted(p.name for p in plot_dir.iterdir())
+        assert names == sorted(p.name for p in run_dir.glob("*.svg"))
+        assert len(names) == 4
+        for name in names:
+            assert (plot_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        (b"{not json", "not a JSON report"),
+        (b"\xe9t\xe9", "not a JSON report"),
+        (b"[]", "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+        (b'{"fractions": [0.5], "alphas": [0.1]}',
+         "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+        (b'{"fractions": [], "alphas": [], "records": []}',
+         "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+        (b'{"fractions": ["a"], "alphas": [0.1], "records": [{"variant": "original"}]}',
+         "'fractions' and 'alphas' must hold numbers"),
+        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"variant": "original"}]}',
+         "every record needs a string 'variant' and the numbers 'fraction', 'alpha', "
+         "'accuracy', 'classify_ms'"),
+        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+         b'"variant": "original", "accuracy": "x", "classify_ms": 0.1}]}',
+         "every record needs a string 'variant' and the numbers"),
+        (b'{"fractions": [0.5, 0.7], "alphas": [0.1], "records": [{"fraction": 0.5, '
+         b'"alpha": 0.1, "variant": "original", "accuracy": 50.0, "classify_ms": 0.1}]}',
+         "no record for cell (0.7, 0.1, original)"),
+    ], ids=["not-json", "not-utf8", "not-an-object", "no-records", "empty-grid", "text-grid",
+            "record-keys", "text-accuracy", "grid-gap"])
+    def test_malformed_report_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report.json"
+        path.write_bytes(text)
+        assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "plots").exists()
 
 
 class TestUsage:
@@ -379,11 +413,14 @@ class TestUsage:
         ["bench", "--repeats", "0"],
         ["bench", "--fractions", "1.5"],
         ["bench", "--epochs", "0"],
+        ["bench", "--fractions", "0.5", "0.5"],
+        ["bench", "--alphas", "0.1", "0.2", "0.1"],
         ["train", "--alpha", "2"],
         ["train", "--seed", "-1"],
         ["select", "--method", "relief", "--seed", "-1"],
     ], ids=["select-tau-f", "select-patience", "bench-repeats", "bench-fractions",
-            "bench-epochs", "train-alpha", "train-seed", "select-seed"])
+            "bench-epochs", "bench-repeated-fraction", "bench-repeated-alpha", "train-alpha",
+            "train-seed", "select-seed"])
     def test_bad_option_value_exit_1(self, small_csv, tmp_path, capsys, argv):
         out = ["--out", str(tmp_path / "out")]
         assert main(argv[:1] + [str(small_csv)] + argv[1:] + out) == 1
