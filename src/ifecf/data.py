@@ -127,17 +127,19 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     first-appearance order. Blank lines are skipped, and errors name the
     file's physical line. Rows are parsed in blocks of about ``BLOCK_CELLS``
     cells, so memory stays near one float64 copy of the features. Blocks of
-    lines with no quote character go to numpy's C reader; a block it rejects,
-    and from the first quote on every block, is read as rows (through the
-    ``csv`` module, as a quoted field may span lines) and parsed by
-    ``float()``.
+    lines with no quote character go to numpy's C reader, which reads the
+    class cells and checks each row's cell count in the same pass; a block it
+    rejects, and from the first quote on every block, is read as rows by the
+    ``csv`` module and parsed by ``float()``. A file with no CR byte is read
+    with LF as its only line end.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            return _read(path, fh, class_column, delimiter)
+    bound, crs = _line_bound(path)
+    try:  # with no CR, a line ends at LF alone, which is found by memchr, not char by char
+        with path.open("r", encoding="utf-8", newline="" if crs else "\n") as fh:
+            return _read(path, fh, class_column, delimiter, bound)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
 
@@ -156,8 +158,8 @@ def _utf8_error(path: Path) -> DataError:
     return DataError(f"{path}: not valid UTF-8")
 
 
-def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
-    """The Dataset of the open text file ``fh``; see ``load_csv``."""
+def _read(path: Path, fh, class_column, delimiter: str, bound: int) -> Dataset:
+    """The Dataset of the open text file ``fh`` of at most ``bound`` lines; see ``load_csv``."""
     lineno, line = next(((n, ln) for n, ln in enumerate(fh, 1) if ln.strip("\r\n")), (1, ""))
     rows = _numbered_rows(path, chain([line], fh), delimiter, lineno)
     head = next(rows, None)
@@ -181,7 +183,7 @@ def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
     ids: dict[str, int] = {}  # label token -> id, in first-appearance order
     # One array sized by the line count: per-block arrays kept for a final
     # concatenate fragment the heap and raise the peak RSS of what follows.
-    features = np.empty((_line_bound(path), arity - 1))
+    features = np.empty((bound, arity - 1))
     labels = np.empty(len(features), dtype=np.int64)
     m = 0
     for feats, tokens in _blocks(path, fh, None if fast else rows, header, class_idx,
@@ -201,17 +203,18 @@ def _read(path: Path, fh, class_column, delimiter: str) -> Dataset:
     return Dataset(features, labels, feature_names, tuple(ids))
 
 
-def _line_bound(path: Path) -> int:
-    """An upper bound on the number of lines of ``path``: one more than its
-    count of LF and CR bytes. It reads 64 KiB chunks, which malloc serves
-    from its heap: freeing a larger, mmap-ed one would raise malloc's mmap
-    threshold for the rest of the process."""
-    bound = 1
+def _line_bound(path: Path) -> tuple[int, int]:
+    """An upper bound on the number of lines of ``path``, one more than its
+    count of LF and CR bytes, and its count of CR bytes. It reads 64 KiB
+    chunks, which malloc serves from its heap: freeing a larger, mmap-ed one
+    would raise malloc's mmap threshold for the rest of the process."""
+    lfs = crs = 0
     with path.open("rb") as fh:
         while chunk := fh.read(1 << 16):
             codes = np.frombuffer(chunk, np.uint8)
-            bound += int(np.count_nonzero(codes == 10)) + int(np.count_nonzero(codes == 13))
-    return bound
+            lfs += int(np.count_nonzero(codes == 10))
+            crs += int(np.count_nonzero(codes == 13))
+    return 1 + lfs + crs, crs
 
 
 def _blocks(path: Path, fh, rows, header: list[str], class_idx: int, delimiter: str,
@@ -231,7 +234,7 @@ def _blocks(path: Path, fh, rows, header: list[str], class_idx: int, delimiter: 
         if any(map(contains, lines, repeat('"'))):
             rows = _numbered_rows(path, chain(lines, fh), delimiter, lineno)
         else:
-            yield (_parse_lines(lines, arity, class_idx, delimiter)
+            yield (_parse_lines(lines, arity - 1, class_idx, delimiter)
                    or _parse_rows(path, list(_numbered_rows(path, lines, delimiter, lineno)),
                                   header, class_idx))
         lineno += len(lines)
@@ -259,22 +262,22 @@ def _numbered_rows(path: Path, lines, delimiter: str, lineno: int):
         raise DataError(f"{path}:{start}: {exc}") from None
 
 
-def _parse_lines(lines: list[str], arity: int, class_idx: int, delimiter: str):
-    """(features, label tokens) of a block of quote-free lines through
-    ``np.loadtxt``, or None when a line is blank or has the wrong arity, or
-    a feature cell is one numpy rejects or non-finite."""
-    if any(n != arity - 1 for n in map(str.count, lines, repeat(delimiter))):
+def _parse_lines(lines: list[str], n: int, class_idx: int, delimiter: str):
+    """(features, label tokens) of a block of quote-free lines of ``n`` features
+    through one ``np.loadtxt`` pass, which checks each row's cell count; None
+    when a line is blank or numpy rejects it, or a feature cell is non-finite."""
+    if lines[0].isspace():  # numpy skips blank lines, and warns of a block of them
         return None
-    cols = [j for j in range(arity) if j != class_idx]
-    try:
-        feats = np.loadtxt(lines, delimiter=delimiter, usecols=cols, comments=None, ndmin=2)
+    fields = [("a", np.float64, (class_idx,)), ("c", object), ("b", np.float64, (n - class_idx,))]
+    try:  # the fields in the file's column order, with no zero-width one
+        r = np.loadtxt(lines, fields[class_idx == 0:2 + (class_idx < n)], delimiter=delimiter,
+                       comments=None, ndmin=1)
     except ValueError:
         return None
-    if not np.isfinite(feats).all():
+    feats = np.hstack((r["a"], r["b"])) if 0 < class_idx < n else r["b" if class_idx == 0 else "a"]
+    if len(r) < len(lines) or not np.isfinite(feats).all():
         return None
-    if class_idx == arity - 1:
-        return feats, [ln.rpartition(delimiter)[2] for ln in lines]
-    return feats, [ln.split(delimiter)[class_idx] for ln in lines]
+    return feats, r["c"]
 
 
 def _parse_rows(path: Path, block, header: list[str], class_idx: int):

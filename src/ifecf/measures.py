@@ -93,14 +93,20 @@ def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
 def _cut_points(sorted_cols: np.ndarray) -> np.ndarray:
     """The (BINS - 1, c) cut points of each sorted column: the midpoints of
     its distinct values when it has BINS or fewer (the unused cuts are inf),
-    else its equal-frequency quantiles. Partitions ``sorted_cols`` in place."""
+    else its equal-frequency quantiles, by the steps of ``np.quantile``'s
+    "linear" method on the sorted rows (its first call imports ``numpy.ma``)."""
     change = sorted_cols[1:] != sorted_cols[:-1]
     few = np.flatnonzero(change.sum(axis=0) < BINS)
     col, row = np.nonzero(change[:, few].T)  # column by column, rows ascending
     j = few[col]
     mids = (sorted_cols[row, j] + sorted_cols[row + 1, j]) / 2.0
-    q = np.linspace(0, 1, BINS + 1)[1:-1]
-    cuts = np.quantile(sorted_cols, q, axis=0, overwrite_input=True)
+    last = len(sorted_cols) - 1
+    at = last * np.linspace(0, 1, BINS + 1)[1:-1]
+    lo = at.astype(np.intp)  # floor, as at >= 0
+    t = (at - lo)[:, None]
+    a, b = sorted_cols[lo], sorted_cols[np.minimum(lo + 1, last)]
+    cuts = a + (b - a) * t
+    np.subtract(b, (b - a) * (1 - t), out=cuts, where=t >= 0.5)
     cuts[:, few] = np.inf
     cuts[np.arange(col.size) - np.searchsorted(col, col), j] = mids
     return cuts

@@ -4,8 +4,9 @@ These deliberately avoid numpy vector paths so they cannot share a bug with
 the library code they check. The exceptions are bit-exact references:
 the blocked ``lvq.classify_batch`` must equal the whole-array numpy formula
 ``classify_batch_unblocked``, ``select.relief`` the plain per-pick numpy
-scan ``relief_exact``, and ``select.cfs_search`` the one-child-at-a-time
-search ``cfs_trace_oracle``, bit for bit.
+scan ``relief_exact``, ``select.cfs_search`` the one-child-at-a-time
+search ``cfs_trace_oracle``, and multi-class ``c_correlation`` its scores
+on the ``np.quantile`` cuts of ``cut_points_oracle``, bit for bit.
 """
 
 import csv
@@ -231,3 +232,17 @@ def load_csv_oracle(path, class_idx):
     class_idx %= len(header)
     feats = [[float(c) for j, c in enumerate(row) if j != class_idx] for row in rows[1:]]
     return header, feats, [row[class_idx].strip() for row in rows[1:]]
+
+
+def cut_points_oracle(sorted_cols, bins=10):
+    """The (bins - 1, c) cut points of each sorted column through
+    ``np.quantile``: the midpoints of its distinct values when it has ``bins``
+    or fewer (the unused cuts inf), else numpy's "linear" quantiles at
+    1/bins, ..., (bins - 1)/bins."""
+    cuts = np.quantile(sorted_cols, np.linspace(0, 1, bins + 1)[1:-1], axis=0)
+    for j in range(sorted_cols.shape[1]):
+        values = np.unique(sorted_cols[:, j])
+        if values.size <= bins:
+            cuts[:, j] = np.inf
+            cuts[:values.size - 1, j] = (values[:-1] + values[1:]) / 2.0
+    return cuts

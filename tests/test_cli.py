@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset, write_csv
+import ifecf
 from ifecf import __version__, cli, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv
@@ -48,6 +53,26 @@ class TestStats:
         write_csv(d, p)
         assert main(["stats", str(p)]) == 0
         assert "undef" in capsys.readouterr().out
+
+    def test_multiclass_stats_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.quantile's first call imports numpy.ma (about 13 ms); the class
+        # relevance kernel's cut points go without it
+        rng = np.random.default_rng(5)
+        p = tmp_path / "three.csv"
+        write_csv(make_dataset(rng.normal(size=(60, 4)), rng.integers(0, 3, 60)), p)
+        code = ("import sys, numpy; before = 'numpy.ma' in sys.modules\n"
+                "from ifecf.cli import main\n"
+                "assert main(['stats', sys.argv[1]]) == 0\n"
+                "print(before, 'numpy.ma' in sys.modules)")
+        src = str(Path(ifecf.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        before, after = out.split()[-2:]
+        if before == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert after == "False"
 
     @pytest.mark.parametrize("class_column, code", [("0", 0), ("cls", 0), ("3", 2), ("nope", 2)])
     def test_class_column(self, tmp_path, capsys, class_column, code):

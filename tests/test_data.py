@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestLineBound:
     def test_counts_line_ends(self, tmp_path, text, bound):
         p = tmp_path / "d.csv"
         p.write_bytes(text)
-        assert data._line_bound(p) == bound
+        assert data._line_bound(p) == (bound, text.count(b"\r"))
         assert load_csv(p).features[:2].tolist() == [[1.0], [2.0]]
 
 
@@ -304,6 +305,65 @@ class TestLoadCsvParsers:
         p = tmp_path / "d.csv"
         p.write_bytes(eol.join(["a,b,cls"] + rows).encode())
         _assert_matches_oracle(p)
+
+    @pytest.mark.parametrize("text, rows", [
+        ("a,b,cls\n\n\n", 0),
+        ("a,b,cls\n1,2,x\n3,4,y\n\n\r\n5,6,x\n", 3),
+    ], ids=["header-and-blanks", "blank-middle-block"])
+    def test_blank_blocks_warn_nothing(self, tmp_path, monkeypatch, text, rows):
+        # loadtxt warns when a block gives it no data; such a block never reaches it
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)  # two lines a block
+        p = _write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rows:
+                _assert_matches_oracle(p)
+            else:
+                with pytest.raises(DataError, match="need a header row"):
+                    load_csv(p)
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_one_lone_cr_ends_a_line(self, tmp_path, monkeypatch, quote):
+        # a file with no CR is read with LF as its only line end; one lone CR,
+        # here in the fourth block, ends a line too
+        monkeypatch.setattr(data, "BLOCK_CELLS", 6)  # two lines a block
+        rows = [f"{i}.5,{-i},{quote}{'xy'[i % 2]}{quote}" for i in range(9)]
+        p = tmp_path / "d.csv"
+        p.write_bytes(("a,b,cls\n" + "\n".join(rows[:7]) + "\r" + "\n".join(rows[7:])).encode())
+        _assert_matches_oracle(p)
+        bad = p.read_bytes().replace(b"7.5", b"oops")
+        p.write_bytes(bad)
+        with pytest.raises(DataError, match=r"d\.csv:9: non-numeric value 'oops'"):
+            load_csv(p)
+
+    def test_block_numpy_returns_short_goes_to_row_parser(self, tmp_path, monkeypatch):
+        # numpy skips lines it takes for empty without saying so; a block it
+        # returns fewer rows of than it has lines is parsed as rows
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loadtxt(*args, **kw)[1:])
+        _assert_matches_oracle(_write(tmp_path, "a,b,cls\n1,2,x\n3,4,y\n5,6,x\n"))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("class_idx", [0, 2, 4])
+    def test_fast_path_reads_quote_free_blocks(self, tmp_path, monkeypatch, class_idx, eol):
+        # without a fallback, so a fast path that rejects every block fails here
+        def no_rows(*args):
+            raise AssertionError("a quote-free block fell back to the row parser")
+
+        monkeypatch.setattr(data, "_parse_rows", no_rows)
+        monkeypatch.setattr(data, "BLOCK_CELLS", 50)  # ten lines a block
+        rng = np.random.default_rng(15)
+        lines = [",".join(f"f{j}" for j in range(4))]
+        for i in range(47):
+            cells = [repr(float(v)) for v in rng.normal(size=4) * 10.0 ** rng.integers(-5, 6, 4)]
+            cells[i % 4] = f" {cells[i % 4]} "
+            lines.append(",".join(cells))
+        rows = [ln.split(",") for ln in lines]
+        for row, label in zip(rows, ["class"] + [" lo", "mid ", "hi", "lo"] * 12):
+            row.insert(class_idx, label)
+        p = tmp_path / "d.csv"
+        p.write_bytes(eol.join(",".join(row) for row in rows).encode() + eol.encode())
+        _assert_matches_oracle(p, class_idx)
 
     def test_first_quote_in_third_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "BLOCK_CELLS", 6)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import lung_like, make_dataset
+from ifecf import measures
 from ifecf.measures import (
     MeasureError,
     c_correlation,
@@ -18,6 +19,7 @@ from ifecf.measures import (
 from oracles import (
     cond_entropy_oracle,
     corr_oracle,
+    cut_points_oracle,
     dispersion_oracle,
     entropy_oracle,
     info_gain_oracle,
@@ -277,6 +279,31 @@ class TestDiscretizer:
         ig_lower = info_gain_oracle(list(labels), lower)
         assert abs(ig_lower - info_gain_oracle(list(labels), upper)) > 1e-3
         assert c_correlation(x[:, None], labels, 3)[0] == pytest.approx(ig_lower, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 10, 11, 12, 37, 100, 1001])
+    def test_cuts_match_numpy_quantile(self, m):
+        rng = np.random.default_rng(23 + m)
+        x = np.column_stack([rng.normal(size=m), rng.integers(-3, 4, m).astype(float),
+                             rng.integers(0, 12, m) * 0.5, rng.normal(size=m) * 1e300,
+                             rng.choice([-0.0, 0.0, 1.0], m), np.zeros(m)])
+        s = np.sort(x, axis=0)
+        cuts = measures._cut_points(s)
+        assert np.array_equal(s, np.sort(x, axis=0))  # the block is left as it is
+        np.testing.assert_array_equal(cuts, cut_points_oracle(s))  # by value: -0.0 == 0.0
+
+    @pytest.mark.parametrize("shape", ["lung_like", "tall"])
+    def test_scores_bit_for_bit_on_numpy_quantile_cuts(self, monkeypatch, shape):
+        if shape == "lung_like":
+            d = lung_like()
+            x, labels, k = d.features, d.labels, d.class_count
+        else:  # the tall benchmark's shape: k Gaussian classes, unit noise
+            rng = np.random.default_rng(24)
+            labels = rng.integers(0, 5, size=100_000)
+            x = rng.normal(size=(5, 20))[labels] + rng.normal(size=(100_000, 20))
+            k = 5
+        scores = c_correlation(x, labels, k)
+        monkeypatch.setattr(measures, "_cut_points", cut_points_oracle)
+        assert scores.tobytes() == c_correlation(x, labels, k).tobytes()
 
     def test_few_distinct_values(self):
         rng = np.random.default_rng(22)
