@@ -13,7 +13,7 @@ import numpy as np
 # perfbench/tracer.py wraps split, fit_normalizer, apply_normalizer, ife_cf,
 # apply_selection, init_codebook, lvq_train and evaluate here by name, and
 # run_sweep looks each up at call time: keep every one of them bound.
-from .data import Dataset, SplitSpec, apply_normalizer, check_integers, fit_normalizer, split
+from .data import Dataset, apply_normalizer, check_integers, fit_normalizer, split
 from .lvq import (LVQConfig, LVQError, LVQModel, evaluate, init_codebook, lockstep_nbytes,
                   train_cells)
 from .lvq import train as lvq_train
@@ -219,7 +219,7 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
     fraction, alpha = cfg.fractions[fi], cfg.alphas[ai]
     seed = cell_seed(cfg.seed, fi, ai)
     try:
-        parts = split(d, SplitSpec(fraction, seed=seed))
+        parts = split(d, fraction, seed)
     except ValueError as exc:
         raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
     sel = None

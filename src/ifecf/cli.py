@@ -71,8 +71,8 @@ def _write_manifest(out_dir: Path, args) -> None:
             h.update(chunk)
     digest = h.hexdigest()
     manifest = {
-        "command": sys.argv,
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "command": args.argv,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "argv")},
         "dataset_sha256": digest,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -315,8 +315,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = ["ifecf", *argv]  # the manifest's command, also for in-process calls
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -92,28 +92,6 @@ class Dataset:
                        self.class_names)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError(f"train_fraction must be in (0,1), got {self.train_fraction}")
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Per-feature train-set min and max for affine [0,1] scaling."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mins", _freeze(np.asarray(self.mins, dtype=np.float64)))
-        object.__setattr__(self, "maxs", _freeze(np.asarray(self.maxs, dtype=np.float64)))
-
-
 # Cells per parse block. The strings of one block (its lines, or its cells on
 # the csv path) are the parser's only memory beyond the float64 result.
 BLOCK_CELLS = 1 << 14
@@ -318,24 +296,25 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic seeded, stratified train/test partition.
+def split(d: Dataset, fraction: float, seed: int = 42) -> tuple[Dataset, Dataset]:
+    """Deterministic seeded, stratified train/test partition with a share
+    ``fraction`` in (0, 1) of the rows in train.
 
     Shuffles within each class and allocates train counts by largest
     remainder so per-class proportions hold within rounding.
     """
+    if not 0.0 < fraction < 1.0:  # also false for NaN
+        raise DataError(f"fraction must be in (0,1), got {fraction}")
     m = d.n_instances
-    n_train = _round_half_up(s.train_fraction * m)
+    n_train = _round_half_up(fraction * m)
     if n_train < 1 or n_train >= m:
-        raise DataError(
-            f"fraction {s.train_fraction} on M={m} leaves an empty partition"
-        )
-    rng = np.random.default_rng(s.seed)
+        raise DataError(f"fraction {fraction} on M={m} leaves an empty partition")
+    rng = np.random.default_rng(seed)
     class_rows = [np.flatnonzero(d.labels == c) for c in range(d.class_count)]
     class_rows = [r for r in class_rows if r.size > 0]
     if any(r.size < 2 for r in class_rows):
         raise DataError("stratified split impossible: a class has a single instance")
-    targets = [s.train_fraction * r.size for r in class_rows]
+    targets = [fraction * r.size for r in class_rows]
     counts = [int(math.floor(t)) for t in targets]
     # clamp so each partition keeps at least one instance per class
     counts = [min(max(c, 1), r.size - 1) for c, r in zip(counts, class_rows)]
@@ -366,22 +345,23 @@ def split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
     return d.take(np.sort(train_idx)), d.take(np.sort(test_idx))
 
 
-def fit_normalizer(train: Dataset) -> NormalizationParams:
-    return NormalizationParams(train.features.min(axis=0), train.features.max(axis=0))
+def fit_normalizer(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The per-feature (mins, maxs) of ``train`` for ``apply_normalizer``."""
+    return train.features.min(axis=0), train.features.max(axis=0)
 
 
-def apply_normalizer(d: Dataset, p: NormalizationParams) -> Dataset:
-    """Affine per-feature map by train min/max; constant features go to 0.5.
+def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset:
+    """Affine per-feature map by the train (mins, maxs) of ``fit_normalizer``;
+    constant features go to 0.5.
 
     Test values may land outside [0,1]; no clipping.
     """
-    if p.mins.shape[0] != d.n_features:
-        raise DataError(
-            f"normalizer fitted on N={p.mins.shape[0]}, dataset has N={d.n_features}"
-        )
-    span = p.maxs - p.mins
+    mins, maxs = norm
+    if mins.shape[0] != d.n_features:
+        raise DataError(f"normalizer fitted on N={mins.shape[0]}, dataset has N={d.n_features}")
+    span = maxs - mins
     const = span == 0
-    out = np.subtract(d.features, p.mins)
+    out = np.subtract(d.features, mins)
     np.divide(out, span, out=out, where=~const)
     out[:, const] = 0.5
     return Dataset(out, d.labels, d.feature_names, d.class_names)

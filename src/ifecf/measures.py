@@ -39,26 +39,35 @@ def correlation(x, y) -> float:
 
 def dispersion_scores(features: np.ndarray) -> np.ndarray:
     """Per-column coefficient of dispersion |sigma/mean| with population std;
-    NaN marks zero-mean columns. The ratio is free of scale, so it is taken
-    of the columns as ``_pow2_scaled`` scales them."""
-    dev = _pow2_scaled(features)
+    NaN marks zero-mean columns."""
+    return _moments(features)[2]
+
+
+def _moments(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's mean, population std and dispersion, in one pass over the
+    columns as ``_pow2_scaled`` scales them. The dispersion is free of scale,
+    so it divides the scaled moments; ``np.ldexp`` scales the mean and std
+    back. Those take the steps of numpy's ``mean`` and ``std``, so they equal
+    numpy's bit for bit on columns whose scaled values stay normal."""
+    dev, exponents = _pow2_scaled(features)
     means = dev.mean(axis=0)
     dev -= means
     sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
-    out = np.full(means.size, np.nan)
+    disp = np.full(means.size, np.nan)
     nz = means != 0
-    out[nz] = np.abs(sigma[nz] / means[nz])
-    return out
+    disp[nz] = np.abs(sigma[nz] / means[nz])
+    return np.ldexp(means, exponents), np.ldexp(sigma, exponents), disp
 
 
-def _pow2_scaled(features) -> np.ndarray:
+def _pow2_scaled(features) -> tuple[np.ndarray, np.ndarray]:
     """A float64 copy of ``features`` with each column scaled by the power of
-    two that brings its largest |value| into [0.5, 1). The scaling is exact.
-    The column sums cannot overflow, and the largest deviation from the
-    column mean is 0 or at least 2**-54, so its square is in range."""
+    two that brings its largest |value| into [0.5, 1), and each column's
+    exponent of two, by which ``np.ldexp`` scales it back. The scaling is
+    exact. The column sums cannot overflow, and the largest deviation from
+    the column mean is 0 or at least 2**-54, so its square is in range."""
     a = np.array(features, dtype=np.float64)
     _, exponents = np.frexp(np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)))
-    return np.ldexp(a, -exponents, out=a)
+    return np.ldexp(a, -exponents, out=a), exponents
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class FeatureStats:
 def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column centred and scaled to unit norm, and the mask of the columns
     that vary; a column that holds one value is all 0."""
-    scaled = _pow2_scaled(features)
+    scaled, _ = _pow2_scaled(features)
     scaled -= scaled.mean(axis=0)
     norms = np.sqrt((scaled**2).sum(axis=0))
     ok = (norms > 0) & (features != features[:1]).any(axis=0)
@@ -185,8 +194,7 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
 
 def feature_stats(d: Dataset) -> list[FeatureStats]:
     """Per-feature mean, population std, dispersion and class relevance."""
-    columns = zip(d.features.mean(axis=0).tolist(), d.features.std(axis=0).tolist(),
-                  dispersion_scores(d.features).tolist(),
+    columns = zip(*(m.tolist() for m in _moments(d.features)),
                   c_correlation(d.features, d.labels, d.class_count).tolist())
     return [FeatureStats(mean, std, None if math.isnan(disp) else disp, cc)
             for mean, std, disp, cc in columns]

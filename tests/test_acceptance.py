@@ -13,7 +13,7 @@ import pytest
 from conftest import make_dataset, pima_like, random_dataset, write_csv
 from ifecf.bench import SweepConfig, run_sweep
 from ifecf.cli import main as cli_main
-from ifecf.data import SplitSpec, apply_normalizer, fit_normalizer, split
+from ifecf.data import apply_normalizer, fit_normalizer, split
 from ifecf.lvq import LVQConfig, LVQModel, evaluate, init_codebook
 from ifecf.lvq import train as lvq_train
 from ifecf.measures import c_correlation, correlation, dispersion_scores, f_correlation_matrix
@@ -128,7 +128,7 @@ def test_lvq_separable_gaussians_and_update_factors():
         labels = rng.integers(0, 2, m)
         x = rng.normal(scale=0.1, size=(m, 2)) + labels[:, None]
         d = make_dataset(x, labels)
-        tr, te = split(d, SplitSpec(0.7, seed=seed))
+        tr, te = split(d, 0.7, seed=seed)
         cfg = LVQConfig(alpha=0.1, epochs=10, seed=seed)
         model = lvq_train(init_codebook(tr, cfg), tr)
         if evaluate(model, te) / te.n_instances >= 0.95:
@@ -168,7 +168,7 @@ def test_pima_end_to_end_beats_majority():
     majority_rate = 500 / 768
     wins = 0
     for seed in range(100):
-        tr, te = split(d, SplitSpec(0.7, seed=seed))
+        tr, te = split(d, 0.7, seed=seed)
         norm = fit_normalizer(tr)
         trn, ten = apply_normalizer(tr, norm), apply_normalizer(te, norm)
         cfg = LVQConfig(alpha=0.1, epochs=20, seed=seed)

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,20 @@ class TestStats:
         rows = capsys.readouterr().out.splitlines()[2:]
         vals = [abs(float(r.split()[-1])) for r in rows]
         assert vals == sorted(vals, reverse=True)
+
+    def test_extreme_column_prints_true_mean_and_std(self, tmp_path, capsys):
+        # the raw column sum overflows to inf; the printed moments are the exact ones, rounded
+        xs = [1.5e308, 1.6e308, 1.0e308, 1e-300]
+        p = tmp_path / "extreme.csv"
+        p.write_text("x,class\n" + "".join(f"{v!r},{c}\n" for v, c in zip(xs, "abab")))
+        assert main(["stats", str(p)]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        exact = [Fraction(v) for v in xs]
+        mean = sum(exact) / 4
+        var = sum((v - mean) ** 2 for v in exact) / 4
+        assert float(row[2]) == pytest.approx(float(mean), rel=1e-15)
+        assert float(row[3]) == pytest.approx(math.ldexp(math.sqrt(var / 2**2048), 1024), rel=1e-15)
+        assert row[4] == "0.6185"
 
     def test_zero_mean_renders_undef(self, tmp_path, capsys):
         d = make_dataset([[-1.0, 1.0], [1.0, 2.0]], [0, 1])
@@ -365,6 +381,15 @@ class TestBench:
         assert manifest["dataset_sha256"] == hashlib.sha256(small_csv.read_bytes()).hexdigest()
         assert manifest["version"] == __version__
         assert not {"samples", "patience", "relief_threshold"} & set(manifest["config"])
+
+    def test_manifest_names_the_in_process_call(self, small_csv, tmp_path):
+        out = tmp_path / "run"
+        args = ["bench", str(small_csv), "--out", str(out), "--fractions", "0.5",
+                "--alphas", "0.1", "--repeats", "1", "--epochs", "2", "--no-plot"]
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == ["ifecf", *args]
+        assert "argv" not in manifest["config"]
 
     @pytest.mark.parametrize("flag", ["--samples", "--patience", "--relief-threshold"])
     def test_selection_search_flags_are_usage_errors(self, small_csv, tmp_path, flag):

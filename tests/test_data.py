@@ -12,8 +12,6 @@ from ifecf import data
 from ifecf.data import (
     DataError,
     Dataset,
-    NormalizationParams,
-    SplitSpec,
     apply_normalizer,
     fit_normalizer,
     load_csv,
@@ -434,28 +432,33 @@ class TestDataset:
 
 class TestSplit:
     def test_pima_90_10_counts(self, pima_dataset):
-        train, test = split(pima_dataset, SplitSpec(0.9, seed=1))
+        train, test = split(pima_dataset, 0.9, seed=1)
         assert train.n_instances == 691  # round(0.9 * 768)
         assert test.n_instances == 77
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         d = make_dataset(rng.normal(size=(10, 2)), rng.integers(0, 2, 10))
-        a = split(d, SplitSpec(0.5, seed=9))
-        b = split(d, SplitSpec(0.5, seed=9))
+        a = split(d, 0.5, seed=9)
+        b = split(d, 0.5, seed=9)
         assert np.array_equal(a[0].features, b[0].features)
         assert np.array_equal(a[1].features, b[1].features)
 
     def test_empty_partition_error(self):
         d = make_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(DataError, match="empty partition"):
-            split(d, SplitSpec(0.99))
+            split(d, 0.99)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval(self, pima_dataset, fraction):
+        with pytest.raises(DataError, match=r"must be in \(0,1\)"):
+            split(pima_dataset, fraction)
 
     def test_stratified_keeps_classes(self):
         rng = np.random.default_rng(2)
         labels = np.array([0] * 30 + [1] * 6)
         d = make_dataset(rng.normal(size=(36, 2)), labels)
-        train, test = split(d, SplitSpec(0.5, seed=4))
+        train, test = split(d, 0.5, seed=4)
         for part in (train, test):
             assert set(part.labels.tolist()) == {0, 1}
         assert train.n_instances == 18
@@ -463,14 +466,14 @@ class TestSplit:
     def test_stratified_single_instance_class(self):
         d = make_dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
         with pytest.raises(DataError, match="single instance"):
-            split(d, SplitSpec(0.5))
+            split(d, 0.5)
 
     def test_floor_overshoot_gives_rows_back(self):
         # floors 0/0/6 clamp up to 1/1/6, one over round(0.2 * 34) = 7: the
         # class with the smallest remainder gives a row back
         labels = np.repeat([0, 1, 2], [2, 2, 30])
         d = make_dataset(np.arange(34.0).reshape(-1, 1), labels)
-        train, test = split(d, SplitSpec(0.2, seed=3))
+        train, test = split(d, 0.2, seed=3)
         assert np.bincount(train.labels).tolist() == [1, 1, 5]
         assert np.bincount(test.labels).tolist() == [1, 1, 25]
 
@@ -479,7 +482,7 @@ class TestSplit:
         labels = np.repeat([0, 1, 2], [2, 2, 20])
         d = make_dataset(np.arange(24.0).reshape(-1, 1), labels)
         with pytest.raises(DataError, match="stratified split impossible at this fraction"):
-            split(d, SplitSpec(0.1))
+            split(d, 0.1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -493,7 +496,7 @@ class TestSplit:
         feats = np.arange(m, dtype=float).reshape(-1, 1)
         d = make_dataset(feats, labels)
         try:
-            train, test = split(d, SplitSpec(frac, seed=seed))
+            train, test = split(d, frac, seed=seed)
         except DataError:
             return  # degenerate fraction for this m
         seen = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())

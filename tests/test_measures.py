@@ -431,3 +431,12 @@ class TestFeatureStats:
         stats = feature_stats(d)
         assert stats[0].std_dev == 0.0
         assert stats[1].std_dev > 0.0
+
+    @pytest.mark.parametrize("exponent", [-1000, -612, 0, 1022])
+    def test_moments_scale_with_the_column(self, exponent):
+        # numpy's moments at unit scale, scaled: at 2**1022 the raw column sum
+        # overflows, at 2**-612 (about 1e-184) the squared deviations underflow
+        x = np.random.default_rng(23).uniform(1.0, 3.0, size=(40, 4))
+        stats = feature_stats(make_dataset(x * 2.0**exponent, np.arange(40) % 2))
+        assert [s.mean for s in stats] == (x.mean(axis=0) * 2.0**exponent).tolist()
+        assert [s.std_dev for s in stats] == (x.std(axis=0) * 2.0**exponent).tolist()
