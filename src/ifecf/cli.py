@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -64,12 +63,7 @@ def _load(args):
     return load_csv(args.dataset, class_column=cc, delimiter=delim)
 
 
-def _write_manifest(out_dir: Path, args) -> None:
-    h = hashlib.sha256()
-    with open(args.dataset, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    digest = h.hexdigest()
+def _write_manifest(out_dir: Path, args, digest: str) -> None:
     manifest = {
         "command": args.argv,
         "config": {k: v for k, v in vars(args).items() if k not in ("func", "argv")},
@@ -92,6 +86,13 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print(fmt.format(*r))
 
 
+def _moment(v: float) -> str:
+    """``v`` to 4 decimals, or in shortest round-trip form where 4 decimals
+    would hide it (nonzero below 1e-4) or spell out 16 or more integer
+    digits (1e15 and up)."""
+    return repr(v) if v and not 1e-4 <= abs(v) < 1e15 else f"{v:.4f}"
+
+
 def cmd_stats(args) -> int:
     d = _load(args)
     ranked = list(enumerate(feature_stats(d)))
@@ -100,7 +101,7 @@ def cmd_stats(args) -> int:
     elif args.sort == "ccorr":
         ranked.sort(key=lambda js: -abs(js[1].c_correlation))
     rows = [
-        [str(j), d.feature_names[j], f"{s.mean:.4f}", f"{s.std_dev:.4f}",
+        [str(j), d.feature_names[j], _moment(s.mean), _moment(s.std_dev),
          "undef" if s.dispersion is None else f"{s.dispersion:.4f}", f"{s.c_correlation:.4f}"]
         for j, s in ranked
     ]
@@ -188,7 +189,8 @@ def cmd_bench(args) -> int:
         epochs=args.epochs,
         normalize=not args.no_normalize,
     )
-    report = run_sweep(_load(args), cfg)
+    d = _load(args)
+    report = run_sweep(d, cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,7 +204,7 @@ def cmd_bench(args) -> int:
     doc = report.to_dict()
     doc["timing_stability"] = timing_stability(report) if cfg.repeats >= 3 else None
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    _write_manifest(out_dir, args)
+    _write_manifest(out_dir, args, d.source_sha256)
     if not args.no_plot:
         sweep_charts(doc, out_dir)
     print(f"wrote {len(report.records)} cell records to {out_dir}")
@@ -227,6 +229,10 @@ def cmd_plot(args) -> int:
                and all(isinstance(r.get(k), number) for k in keys) for r in report["records"]):
         raise DataError(f"{path}: every record needs a string 'variant' and the numbers "
                         f"{', '.join(map(repr, keys))}")
+    variants = {r["variant"] for r in report["records"]} - {"original", "reduced"}
+    if variants:  # a variant names the chart files and titles them
+        raise DataError(f"{path}: unknown variant {min(variants)!r}; "
+                        "a record's variant is 'original' or 'reduced'")
     try:
         written = sweep_charts(report, args.out)
     except BenchError as exc:

@@ -4,7 +4,9 @@ normalization. Every other module consumes the immutable Dataset defined here.""
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import contains
@@ -38,13 +40,15 @@ class Dataset:
 
     Labels are contiguous ids; ``class_names`` maps each id back to the
     original token from the source file. Arrays are read-only so instances
-    can be shared freely across threads.
+    can be shared freely across threads. ``source_sha256`` is the hex sha256
+    of the file ``load_csv`` read; a derived Dataset has None.
     """
 
     features: np.ndarray  # (M, N) float64
     labels: np.ndarray  # (M,) int64
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
+    source_sha256: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "features", _freeze(np.asarray(self.features, dtype=np.float64)))
@@ -110,16 +114,118 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     rejects, and from the first quote on every block, is read as rows by the
     ``csv`` module and parsed by ``float()``. A file with no CR byte is read
     with LF as its only line end.
+
+    A parsed dataset is cached under the sha256 of the file's bytes (see
+    ``_cache_entry``), so a file that was loaded before with the same
+    arguments is read back from the cache and not parsed again.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    bound, crs = _line_bound(path)
-    try:  # with no CR, a line ends at LF alone, which is found by memchr, not char by char
-        with path.open("r", encoding="utf-8", newline="" if crs else "\n") as fh:
-            return _read(path, fh, class_column, delimiter, bound)
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
+    stamp = _stamp(path)
+    digest = _file_sha256(path)
+    entry = _cache_entry(digest, class_column, delimiter)
+    d = _cache_read(entry, digest)
+    if d is None:
+        bound, crs = _line_bound(path)
+        try:  # with no CR, a line ends at LF alone, which is found by memchr, not char by char
+            with path.open("r", encoding="utf-8", newline="" if crs else "\n") as fh:
+                d = _read(path, fh, class_column, delimiter, bound, digest)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        if _stamp(path) == stamp:  # else the parse may not be of the hashed bytes
+            _cache_write(entry, d)
+    return d
+
+
+# The dataset cache deletes its least recently used files once they hold
+# more than this many bytes.
+CACHE_BYTES = 1 << 30
+_code_sha256 = None  # the sha256 of this file, read once per process
+
+
+def _stamp(path: Path) -> tuple[int, int]:
+    """The size and mtime of ``path``, which a write to it changes."""
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns
+
+
+def _file_sha256(path: Path) -> str:
+    """The hex sha256 of the bytes of ``path``, read in 64 KiB chunks (see
+    ``_line_bound``)."""
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _cache_entry(digest: str, class_column, delimiter: str) -> Path:
+    """The cache file of a file of sha256 ``digest`` loaded with these
+    arguments: ``$XDG_CACHE_HOME/ifecf/<key>.npz`` (``~/.cache`` when that is
+    unset or empty), where the key hashes the digest, the arguments, this
+    loader's source and the numpy version, so a change to any of them
+    misses."""
+    global _code_sha256
+    if _code_sha256 is None:
+        _code_sha256 = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
+    key = repr((digest, _code_sha256, np.__version__, type(class_column).__name__,
+                class_column, delimiter))
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root, "ifecf", hashlib.sha256(key.encode()).hexdigest() + ".npz")
+
+
+def _cache_read(entry: Path, digest: str) -> Dataset | None:
+    """The Dataset stored in cache file ``entry``, or None when it is missing
+    or does not read or validate. A hit marks the file as recently used."""
+    import json
+    import zipfile  # numpy has imported both
+
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            feature_names, class_names = json.loads(z["names"].tobytes())
+            d = Dataset(z["features"], z["labels"], feature_names, class_names, digest)
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
+        return None
+    try:
+        os.utime(entry)
+    except OSError:  # a read-only cache still serves its entries
+        pass
+    return d
+
+
+def _cache_write(entry: Path, d: Dataset) -> None:
+    """Store ``d`` as cache file ``entry`` through a temporary file and an
+    atomic rename, then delete the least recently used files of the cache
+    while they hold more than ``CACHE_BYTES``. A cache that cannot be
+    written leaves the load uncached."""
+    import json
+
+    names = json.dumps([d.feature_names, d.class_names]).encode()
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, features=d.features, labels=d.labels,
+                     names=np.frombuffer(names, np.uint8))
+        os.replace(tmp, entry)
+        with os.scandir(entry.parent) as it:
+            files = sorted((f.stat().st_mtime_ns, f.stat().st_size, f.path) for f in it)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        return
+    total = sum(size for _, size, _ in files)
+    for _, size, name in files:
+        if total <= CACHE_BYTES:
+            break
+        try:
+            os.remove(name)
+        except OSError:  # gone already, or not ours to remove
+            pass
+        total -= size
 
 
 def _utf8_error(path: Path) -> DataError:
@@ -136,8 +242,9 @@ def _utf8_error(path: Path) -> DataError:
     return DataError(f"{path}: not valid UTF-8")
 
 
-def _read(path: Path, fh, class_column, delimiter: str, bound: int) -> Dataset:
-    """The Dataset of the open text file ``fh`` of at most ``bound`` lines; see ``load_csv``."""
+def _read(path: Path, fh, class_column, delimiter: str, bound: int, digest: str) -> Dataset:
+    """The Dataset of the open text file ``fh`` of at most ``bound`` lines
+    and sha256 ``digest``; see ``load_csv``."""
     lineno, line = next(((n, ln) for n, ln in enumerate(fh, 1) if ln.strip("\r\n")), (1, ""))
     rows = _numbered_rows(path, chain([line], fh), delimiter, lineno)
     head = next(rows, None)
@@ -178,7 +285,7 @@ def _read(path: Path, fh, class_column, delimiter: str, bound: int) -> Dataset:
         raise DataError(f"{path}: single-class dataset, classification undefined")
     features.resize((m, arity - 1), refcheck=False)  # in place: no second copy
     labels.resize(m, refcheck=False)
-    return Dataset(features, labels, feature_names, tuple(ids))
+    return Dataset(features, labels, feature_names, tuple(ids), digest)
 
 
 def _line_bound(path: Path) -> tuple[int, int]:

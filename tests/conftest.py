@@ -73,6 +73,23 @@ def lung_like(seed=3, m=32, n=56, class_sizes=(9, 13, 10), informative=(3, 11, 2
     return make_dataset(x.astype(np.float64), labels, class_names=("1", "2", "3"))
 
 
+@pytest.fixture(autouse=True)
+def _no_dataset_cache(tmp_path_factory, monkeypatch):
+    """Point ``XDG_CACHE_HOME`` at a regular file, under which no cache
+    directory can be made: every load parses, in this process and in the
+    processes a test starts, and no test is answered from another's entry."""
+    blocker = tmp_path_factory.getbasetemp() / "not-a-directory"
+    blocker.touch()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh, empty dataset cache for this test; returns its ``ifecf`` directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "ifecf"
+
+
 @pytest.fixture(scope="session")
 def pima_dataset():
     return pima_like()

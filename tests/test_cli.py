@@ -63,6 +63,16 @@ class TestStats:
         assert float(row[3]) == pytest.approx(math.ldexp(math.sqrt(var / 2**2048), 1024), rel=1e-15)
         assert row[4] == "0.6185"
 
+    def test_tiny_column_prints_its_mean_and_std(self, tmp_path, capsys):
+        # four decimals would print 0.0000 for both; the shortest round-trip form shows them
+        p = tmp_path / "tiny.csv"
+        p.write_text("x,class\n1e-184,a\n2e-184,b\n3e-184,a\n4e-184,b\n")
+        assert main(["stats", str(p)]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert float(row[2]) == pytest.approx(2.5e-184, rel=1e-15, abs=0)
+        assert float(row[3]) == pytest.approx(math.sqrt(1.25) * 1e-184, rel=1e-15, abs=0)
+        assert row[4:] == ["0.4472", "0.4472"]
+
     def test_zero_mean_renders_undef(self, tmp_path, capsys):
         d = make_dataset([[-1.0, 1.0], [1.0, 2.0]], [0, 1])
         p = tmp_path / "zm.csv"
@@ -382,6 +392,21 @@ class TestBench:
         assert manifest["version"] == __version__
         assert not {"samples", "patience", "relief_threshold"} & set(manifest["config"])
 
+    def test_cache_hit_gives_the_miss_outputs_and_digest(self, small_csv, tmp_path, cache_dir):
+        want = hashlib.sha256(small_csv.read_bytes()).hexdigest()
+        runs = [tmp_path / "miss", tmp_path / "hit"]
+        for out in runs:
+            assert self._run(small_csv, out, "--select", "--tau-c", "0") == 0
+            assert json.loads((out / "manifest.json").read_text())["dataset_sha256"] == want
+        assert len(list(cache_dir.iterdir())) == 1
+        for name in ("original.csv", "reduced.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        keys = ("fraction", "alpha", "variant", "accuracy", "paper_efficiency", "correct",
+                "total", "selection")
+        miss, hit = ([{k: r[k] for k in keys} for r in json.loads((out / "report.json")
+                      .read_text())["records"]] for out in runs)
+        assert miss == hit
+
     def test_manifest_names_the_in_process_call(self, small_csv, tmp_path):
         out = tmp_path / "run"
         args = ["bench", str(small_csv), "--out", str(out), "--fractions", "0.5",
@@ -435,8 +460,15 @@ class TestPlot:
         (b'{"fractions": [0.5, 0.7], "alphas": [0.1], "records": [{"fraction": 0.5, '
          b'"alpha": 0.1, "variant": "original", "accuracy": 50.0, "classify_ms": 0.1}]}',
          "no record for cell (0.7, 0.1, original)"),
+        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+         b'"variant": "x<b onload=alert(1)>&", "accuracy": 50.0, "classify_ms": 0.1}]}',
+         "unknown variant 'x<b onload=alert(1)>&'; a record's variant is 'original' or "
+         "'reduced'"),
+        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+         b'"variant": "../../x", "accuracy": 50.0, "classify_ms": 0.1}]}',
+         "unknown variant '../../x'"),
     ], ids=["not-json", "not-utf8", "not-an-object", "no-records", "empty-grid", "text-grid",
-            "record-keys", "text-accuracy", "grid-gap"])
+            "record-keys", "text-accuracy", "grid-gap", "markup-variant", "path-variant"])
     def test_malformed_report_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report.json"
         path.write_bytes(text)

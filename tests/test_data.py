@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import os
 import tracemalloc
 import warnings
 
@@ -542,3 +544,142 @@ class TestNormalizer:
         nd = apply_normalizer(d, fit_normalizer(d))
         nd2 = apply_normalizer(nd, fit_normalizer(nd))
         assert np.allclose(nd.features, nd2.features)
+
+
+def _same(a: Dataset, b: Dataset) -> bool:
+    """Bit-equal features, labels, names and class tables."""
+    return (a.features.tobytes() == b.features.tobytes() and a.features.shape == b.features.shape
+            and np.array_equal(a.labels, b.labels) and a.feature_names == b.feature_names
+            and a.class_names == b.class_names)
+
+
+class TestDatasetCache:
+    """``load_csv`` keeps parsed datasets in ``$XDG_CACHE_HOME/ifecf``, keyed
+    by the file's sha256 and the load's arguments."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The number of files parsed so far: each parse starts with ``_line_bound``."""
+        calls = []
+        line_bound = data._line_bound
+        monkeypatch.setattr(data, "_line_bound", lambda path: calls.append(path) or line_bound(path))
+        return calls
+
+    def test_hit_equals_miss_bit_for_bit(self, tmp_path, cache_dir, parses):
+        rng = np.random.default_rng(8)
+        p = tmp_path / "d.csv"
+        # names and tokens json and npz could garble: quotes, a NUL, non-ASCII, blanks
+        text = 'a b,"q""x",é\x00,class\n' + "".join(
+            f"{x!r},{y!r},{z!r},{c}\n" for (x, y, z), c
+            in zip(rng.normal(size=(30, 3)).tolist(), ["löw", " hi ", "0"] * 10))
+        p.write_text(text, encoding="utf-8")
+        miss = load_csv(p)
+        hit = load_csv(p)
+        assert len(parses) == 1 and len(list(cache_dir.iterdir())) == 1
+        assert _same(hit, miss) and hit.labels.dtype == miss.labels.dtype == np.int64
+        assert miss.feature_names == ("a b", 'q"x', "é\x00")
+        assert miss.class_names == ("löw", "hi", "0")
+        assert hit.source_sha256 == miss.source_sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert not hit.features.flags.writeable and not hit.labels.flags.writeable
+        assert hit.take(np.arange(3)).source_sha256 is None
+        assert hit.project([0]).source_sha256 is None
+
+    def test_same_size_rewrite_with_restored_mtime_misses(self, tmp_path, cache_dir, parses):
+        p = _write(tmp_path, "a,class\n1.5,x\n2.5,y\n")
+        stat = p.stat()
+        assert load_csv(p).features[0, 0] == 1.5
+        p.write_text("a,class\n1.6,x\n2.5,y\n", encoding="utf-8")
+        os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert p.stat().st_size == stat.st_size and p.stat().st_mtime_ns == stat.st_mtime_ns
+        assert load_csv(p).features[0, 0] == 1.6
+        assert len(parses) == 2 and len(list(cache_dir.iterdir())) == 2
+
+    def test_argument_variants_get_their_own_entries(self, tmp_path, cache_dir, parses,
+                                                     monkeypatch):
+        # the lines read under both delimiters, to different datasets
+        p = _write(tmp_path, "a;b,c\n1;x,2\n3;y,4\n5;x,6\n")
+        variants = [(",", 0), (";", None), (";", 1), (";", "b,c"), (",", "a;b")]
+        first = [load_csv(p, class_column=c, delimiter=dl) for dl, c in variants]
+        again = [load_csv(p, class_column=c, delimiter=dl) for dl, c in variants]
+        assert len(parses) == len(variants) == len(list(cache_dir.iterdir()))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(p))  # a regular file: no cache
+        for d, e, (dl, c) in zip(first, again, variants):
+            want = load_csv(p, class_column=c, delimiter=dl)
+            assert _same(d, want) and _same(e, want)
+        assert first[0].features[:, 0].tolist() == [2.0, 4.0, 6.0]
+        assert first[1].features[:, 0].tolist() == [1.0, 3.0, 5.0]
+
+    def test_truncated_entry_is_parsed_again_and_rewritten(self, tmp_path, cache_dir, parses):
+        rng = np.random.default_rng(9)
+        p = tmp_path / "d.csv"
+        write_csv(make_dataset(rng.normal(size=(50, 4)), rng.integers(0, 3, 50)), p)
+        miss = load_csv(p)
+        (entry,) = cache_dir.iterdir()
+        whole = entry.read_bytes()
+        for cut in (len(whole) // 2, 10, 0):
+            entry.write_bytes(whole[:cut])
+            assert _same(load_csv(p), miss)
+            assert entry.read_bytes() == whole
+        assert len(parses) == 4
+
+    def test_entry_that_does_not_validate_is_parsed_again(self, tmp_path, cache_dir, parses):
+        p = _write(tmp_path, "a,class\n1,x\n2,y\n")
+        miss = load_csv(p)
+        (entry,) = cache_dir.iterdir()
+        np.savez(entry, features=np.array([[1.0], [np.inf]]), labels=miss.labels,
+                 names=np.frombuffer(b'[["a"], ["x", "y"]]', np.uint8))
+        assert _same(load_csv(p), miss)
+        assert len(parses) == 2
+
+    def test_file_written_during_the_load_writes_no_entry(self, tmp_path, cache_dir,
+                                                          monkeypatch):
+        # a write between the hash and the parse: an entry would give the new rows
+        # to a later load of the old bytes
+        p = _write(tmp_path, "a,class\n1,x\n2,y\n")
+        line_bound = data._line_bound
+
+        def append_then_bound(path):
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write("3,x\n")
+            return line_bound(path)
+
+        monkeypatch.setattr(data, "_line_bound", append_then_bound)
+        assert load_csv(p).n_instances == 3
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+    @pytest.mark.parametrize("text", ["a,class\n1,x\noops,y\n", "a,class\n1,x\n2,x\n",
+                                      "a,class\n"])
+    def test_bad_csv_writes_no_entry(self, tmp_path, cache_dir, text):
+        p = _write(tmp_path, text)
+        for _ in range(2):
+            with pytest.raises(DataError):
+                load_csv(p)
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+    def test_least_recently_used_entries_go_past_cache_bytes(self, tmp_path, cache_dir, parses,
+                                                            monkeypatch):
+        paths = [_write(tmp_path, f"a,class\n{i},x\n{i + 1},y\n", f"{i}.csv") for i in range(3)]
+        load_csv(paths[0])
+        (a,) = cache_dir.iterdir()
+        load_csv(paths[1])
+        (b,) = set(cache_dir.iterdir()) - {a}
+        os.utime(a, ns=(0, 10**9))  # the first entry is the older one ...
+        os.utime(b, ns=(0, 2 * 10**9))
+        monkeypatch.setattr(data, "CACHE_BYTES", a.stat().st_size + b.stat().st_size + 100)
+        load_csv(paths[0])  # ... until a hit marks it as used
+        assert a.stat().st_mtime_ns > b.stat().st_mtime_ns
+        load_csv(paths[2])  # three entries pass CACHE_BYTES: the least recently used goes
+        assert a.exists() and not b.exists() and len(list(cache_dir.iterdir())) == 2
+        assert len(parses) == 3
+
+    def test_cache_that_cannot_be_made_still_loads(self, tmp_path, monkeypatch, parses):
+        # the autouse fixture's XDG_CACHE_HOME is a regular file, and here the
+        # ifecf directory itself is one: neither leaves room for an entry
+        p = _write(tmp_path, "a,class\n1,x\n2,y\n")
+        assert _same(load_csv(p), load_csv(p))
+        root = tmp_path / "xdg"
+        root.mkdir()
+        (root / "ifecf").write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+        assert _same(load_csv(p), load_csv(p))
+        assert len(parses) == 4 and (root / "ifecf").read_bytes() == b""
