@@ -298,12 +298,14 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
 
 def timing_stability(report: SweepReport) -> dict:
     """Inter-repeat spread per cell; cells beyond ``FLAG_RATIO`` are flagged
-    as load artifacts."""
+    as load artifacts. A cell whose fastest pass timed 0 s has no ratio
+    (None, JSON null) and is flagged too."""
     if report.config.repeats < 3:
         raise BenchError("timing_stability needs repeats >= 3")
     cells = []
     for r in report.records:
         lo, hi = min(r["classify_ms_repeats"]), max(r["classify_ms_repeats"])
         cells.append({"fraction": r["fraction"], "alpha": r["alpha"], "variant": r["variant"],
-                      "spread_ratio": hi / lo if lo > 0 else float("inf")})
-    return {"cells": cells, "flagged": [c for c in cells if c["spread_ratio"] > FLAG_RATIO]}
+                      "spread_ratio": hi / lo if lo > 0 else None})
+    return {"cells": cells, "flagged": [c for c in cells if c["spread_ratio"] is None
+                                        or c["spread_ratio"] > FLAG_RATIO]}

@@ -73,7 +73,7 @@ def _write_manifest(out_dir: Path, args, digest: str) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str), encoding="utf-8"
+        json.dumps(manifest, indent=2, default=str, allow_nan=False), encoding="utf-8"
     )
 
 
@@ -134,7 +134,7 @@ def cmd_select(args) -> int:
         print("relief weights:", " ".join(f"{w:.4f}" for w in weights))
 
     if args.out:  # no indent: json's C encoder
-        Path(args.out).write_text(json.dumps(result.to_dict()), encoding="utf-8")
+        Path(args.out).write_text(json.dumps(result.to_dict(), allow_nan=False), encoding="utf-8")
     kept_names = [d.feature_names[j] for j in result.kept]
     print(f"kept {len(result.kept)}/{d.n_features}: {', '.join(kept_names)}")
     if result.merit_trace:
@@ -206,7 +206,8 @@ def cmd_bench(args) -> int:
             w.writerows(report.accuracy_table(variant))
     doc = report.to_dict()
     doc["timing_stability"] = timing_stability(report) if cfg.repeats >= 3 else None
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, allow_nan=False),
+                                         encoding="utf-8")
     _write_manifest(out_dir, args, d.source_sha256)
     if not args.no_plot:
         sweep_charts(doc, out_dir)

@@ -65,7 +65,8 @@ class LVQModel:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, allow_nan=False),
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "LVQModel":

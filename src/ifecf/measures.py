@@ -92,7 +92,11 @@ def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def f_correlation_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise |Pearson r| between features; zero-variance rows/cols are 0."""
-    scaled, ok = _unit_columns(features)
+    return _abs_r(*_unit_columns(features))
+
+
+def _abs_r(scaled: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The |r| matrix of ``_unit_columns``' output."""
     r = scaled.T @ scaled
     np.abs(r, out=r)
     np.fill_diagonal(r, ok)
@@ -167,6 +171,16 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     class ids in [0, class_count), no rows on more classes, zero-variance
     labels on two unless every feature is constant.
     """
+    return correlations(features, labels, class_count)[0]
+
+
+def correlations(features: np.ndarray, labels, class_count: int):
+    """``c_correlation`` of each column, and a function that gives
+    ``f_correlation_matrix`` of the columns at the given positions (all by
+    default). On two classes both come from one ``_unit_columns`` pass. The
+    scores and the whole matrix keep the bits of the two separate calls. So
+    does a subset of the columns of a column-major ``features``, such as
+    ``x[:, cols]`` with a list, where numpy sums each column on its own."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != features.shape[:1]:
@@ -181,7 +195,8 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
         if ok.any() and not y_ok[0]:
             raise MeasureError("zero-variance input to correlation")
         r = np.abs(scaled.T @ y[:, 0])
-        return np.minimum(r, 1.0, out=r)
+        return (np.minimum(r, 1.0, out=r),
+                lambda cols=slice(None): _abs_r(scaled[:, cols], ok[cols]))
     m, n = features.shape
     if m == 0:
         raise MeasureError("empty input")
@@ -189,7 +204,7 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     step = max(1, BLOCK_CELLS // m)
     for j in range(0, n, step):
         scores[j:j + step] = _information_gains(features[:, j:j + step], labels, class_count)
-    return scores
+    return scores, lambda cols=slice(None): f_correlation_matrix(features[:, cols])
 
 
 def feature_stats(d: Dataset) -> list[FeatureStats]:

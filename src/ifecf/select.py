@@ -4,7 +4,6 @@ search, and Relief weighting."""
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, check_integers
-from .measures import c_correlation, dispersion_scores, f_correlation_matrix
+from .measures import c_correlation, correlations, dispersion_scores, f_correlation_matrix
 # perfbench/tracer.py counts calls made through select.correlation by that name.
 from .measures import correlation  # noqa: F401
 
@@ -55,14 +54,13 @@ class SelectionResult:
     flags: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        columns = [list(c) for c in zip(*self.merit_trace)] or [[], [], []]
         return {
             "kept": list(self.kept),
             "eliminated": [
                 {"feature": i, "reason": r, "score": s} for i, r, s in self.eliminated
             ],
-            "merit_trace": [
-                {"parent": p, "feature": f, "merit": m} for p, f, m in self.merit_trace
-            ],
+            "merit_trace": dict(zip(("parent", "feature", "merit"), columns)),
             "flags": [{"feature": i, "note": n} for i, n in self.flags],
         }
 
@@ -94,7 +92,7 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
         else:
             alive.append(j)
 
-    scores = c_correlation(train.features[:, alive], train.labels, train.class_count)
+    scores, f_corr = correlations(train.features[:, alive], train.labels, train.class_count)
     cc = dict(zip(alive, scores.tolist()))
     survivors = []
     for j in alive:
@@ -107,7 +105,7 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     order = sorted(survivors, key=lambda j: (-cc[j], j))
     keep = np.ones(len(order), dtype=bool)
     if order:
-        rmat = f_correlation_matrix(train.features[:, order])
+        rmat = f_corr(np.searchsorted(alive, order))
         for pos, j in enumerate(order):
             if not keep[pos]:
                 continue
@@ -149,44 +147,63 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     expansion scores all children from one row sum of the |r| matrix, in
     ``merit_value``'s float order. The trace holds ``(parent, feature,
     merit)`` per scored subset: its parent's trace index (-1: the empty set).
+    A subset is a bitmask of its features; the open subset of highest merit
+    goes first, and of equal merits the least sorted tuple (``_pop_best``).
     """
-    cc = c_correlation(train.features, train.labels, train.class_count)
-    rmat = f_correlation_matrix(train.features)
+    cc, f_corr = correlations(train.features, train.labels, train.class_count)
+    rmat = f_corr()
     trace: list[tuple[int, int, float]] = []
-    # (-merit, subset, trace index, sum of |r_cf|, sum of pairwise r_ff); subsets
-    # are unique, so the heap orders on (-merit, subset) alone
-    open_heap: list[tuple[float, tuple[int, ...], int, float, float]] = [(0.0, (), -1, 0.0, 0.0)]
-    seen: set[tuple[int, ...]] = {()}
-    best_subset: tuple[int, ...] = ()
+    # (-merit, trace index, sum of |r_cf|, sum of pairwise r_ff, subset mask); the
+    # index is unique, so the heap orders on (-merit, index) alone
+    open_heap: list[tuple[float, int, float, float, int]] = [(0.0, -1, 0.0, 0.0, 0)]
+    seen = {0}
+    best_mask = 0
     best_merit = -math.inf
     stall = 0
     while open_heap and stall < cfg.bffs_patience:
-        _, subset, at, sum_cf, sum_ff = heapq.heappop(open_heap)
+        _, at, sum_cf, sum_ff, mask = _pop_best(open_heap)
+        subset = _members(mask)
         k = len(subset) + 1
         child_cf = sum_cf + cc
-        child_ff = sum_ff + rmat[:, list(subset)].sum(axis=1)
+        child_ff = sum_ff + rmat[:, subset].sum(axis=1)
         r_ff = child_ff / (k * (k - 1) / 2) if k > 1 else 0.0
         merits = k * (child_cf / k) / np.sqrt(k + k * (k - 1) * r_ff)
         improved = False
         for f, (m, f_cf, f_ff) in enumerate(zip(merits.tolist(), child_cf.tolist(),
                                                 child_ff.tolist())):
-            pos = bisect.bisect(subset, f)
-            if subset[pos - 1:pos] == (f,):
-                continue
-            child = subset[:pos] + (f,) + subset[pos:]
-            if child in seen:
+            child = mask | 1 << f
+            if child in seen:  # the parent itself when f is in it
                 continue
             seen.add(child)
-            heapq.heappush(open_heap, (-m, child, len(trace), f_cf, f_ff))
+            heapq.heappush(open_heap, (-m, len(trace), f_cf, f_ff, child))
             trace.append((at, f, m))
             if m > best_merit + 1e-12:
-                best_merit, best_subset = m, child
+                best_merit, best_mask = m, child
                 improved = True
-        if subset:  # root expansion just seeds the singletons
+        if mask:  # root expansion just seeds the singletons
             stall = 0 if improved else stall + 1
+    kept = _members(best_mask)
     eliminated = [(j, "not-in-best-subset", s) for j, s in enumerate(cc.tolist())
-                  if j not in best_subset]
-    return SelectionResult(kept=list(best_subset), eliminated=eliminated, merit_trace=trace)
+                  if not best_mask >> j & 1]
+    return SelectionResult(kept=kept, eliminated=eliminated, merit_trace=trace)
+
+
+def _members(mask: int) -> list[int]:
+    """The features of a subset bitmask, ascending."""
+    return [f for f, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def _pop_best(heap: list) -> tuple:
+    """Pop the open subset of highest merit, and of equal merits the one whose
+    sorted feature tuple is least. Exact ties occur (duplicate columns), so
+    every entry of the top merit is popped, and all but the chosen one go back."""
+    tied = [heapq.heappop(heap)]
+    while heap and heap[0][0] == tied[0][0]:
+        tied.append(heapq.heappop(heap))
+    tied.sort(key=lambda e: _members(e[4]))
+    for e in tied[1:]:
+        heapq.heappush(heap, e)
+    return tied[0]
 
 
 # Elements of each (picks, M) approximate-distance array in one relief block.

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import make_dataset, write_csv
 import ifecf
-from ifecf import __version__, cli, lvq
+from ifecf import __version__, bench, cli, lvq
 from ifecf.cli import main
 from ifecf.data import load_csv
 from ifecf.measures import FeatureStats
@@ -189,8 +190,9 @@ class TestSelect:
         weights = relief(load_csv(small_csv), SelectionConfig())
         assert capsys.readouterr().out.splitlines()[:2] == [
             "relief weights: " + " ".join(f"{w:.4f}" for w in weights), "kept 3/3: f0, f1, f2"]
-        assert json.loads(out.read_text()) == {"kept": [0, 1, 2], "eliminated": [],
-                                               "merit_trace": [], "flags": []}
+        assert json.loads(out.read_text()) == {
+            "kept": [0, 1, 2], "eliminated": [],
+            "merit_trace": {"parent": [], "feature": [], "merit": []}, "flags": []}
         # the informative f0 weighs most; the constant f2 weighs 0
         threshold = (weights[0] + weights[1]) / 2
         assert main(["select", str(small_csv), "--method", "relief", "--relief-threshold",
@@ -476,6 +478,29 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}")
         assert not (tmp_path / "plots").exists()
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("clock", ["real", "frozen"])
+    def test_artifacts_hold_no_nan_or_infinity(self, small_csv, tmp_path, monkeypatch, clock):
+        if clock == "frozen":  # every pass times 0 s: no cell has a spread ratio
+            monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        run, sel = tmp_path / "run", tmp_path / "cfs.json"
+        assert main(["bench", str(small_csv), "--select", "--fractions", "0.5", "0.7",
+                     "--alphas", "0.1", "--repeats", "3", "--epochs", "2", "--no-plot",
+                     "--out", str(run)]) == 0
+        assert main(["select", str(small_csv), "--method", "cfs", "--out", str(sel)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        docs = {path.name: json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+                for path in [*sorted(run.glob("*.json")), sel]}
+        assert list(docs) == ["manifest.json", "report.json", "cfs.json"]
+        stability = docs["report.json"]["timing_stability"]
+        if clock == "frozen":
+            assert [c["spread_ratio"] for c in stability["cells"]] == [None] * 4
+            assert stability["flagged"] == stability["cells"]
 
 
 class TestUsage:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from ifecf import lvq
@@ -24,6 +26,23 @@ def two_gaussians(rng, m=100, sigma=0.1, sep=1.0):
     labels = rng.integers(0, 2, m)
     x = rng.normal(scale=sigma, size=(m, 2)) + sep * labels[:, None]
     return make_dataset(x, labels)
+
+
+@st.composite
+def lvq_models(draw):
+    """Models with finite codebooks, valid class ids and distinct class names."""
+    p, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    codebook = np.array(draw(st.lists(values, min_size=p * n, max_size=p * n)))
+    classes = draw(st.lists(st.integers(0, len(names) - 1), min_size=p, max_size=p))
+    config = LVQConfig(alpha=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+                       epochs=draw(st.integers(1, 10**6)),
+                       prototypes_per_class=draw(st.integers(1, 50)),
+                       seed=draw(st.integers(0, 2**64)))
+    return LVQModel(codebook.reshape(p, n), np.array(classes, dtype=np.int64), config,
+                    draw(st.integers(0, 10**6)), tuple(names),
+                    tuple(draw(st.lists(st.text(max_size=6), min_size=n, max_size=n))))
 
 
 class TestInitCodebook:
@@ -425,6 +444,22 @@ class TestSerialization:
         assert loaded.class_names == d.class_names == model.class_names
         x = rng.normal(size=(1, 2))
         assert classify_batch(loaded, x).tolist() == classify_batch(model, x).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=lvq_models())
+    def test_load_returns_what_save_wrote(self, tmp_path_factory, model):
+        p = tmp_path_factory.mktemp("model") / "model.json"
+        model.save(p)
+        loaded = LVQModel.load(p)
+        assert loaded.codebook.dtype == model.codebook.dtype
+        assert loaded.codebook.shape == model.codebook.shape
+        assert loaded.codebook.tobytes() == model.codebook.tobytes()
+        assert loaded.classes.dtype == np.int64
+        assert loaded.classes.tolist() == model.classes.tolist()
+        assert loaded.config == model.config
+        assert loaded.epochs_run == model.epochs_run
+        assert loaded.class_names == model.class_names
+        assert loaded.feature_names == model.feature_names
 
     def _saved_doc(self):
         model = LVQModel(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]),

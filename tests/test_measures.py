@@ -12,6 +12,7 @@ from ifecf.measures import (
     MeasureError,
     c_correlation,
     correlation,
+    correlations,
     dispersion_scores,
     f_correlation_matrix,
     feature_stats,
@@ -417,6 +418,27 @@ class TestCCorrelation:
         # columns go through in blocks of about BLOCK_CELLS values, so the
         # temporaries stay below the size of the input
         assert peak < x.nbytes
+
+
+class TestCorrelations:
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_pass_keeps_the_bits_of_the_two_kernels(self, classes, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 2000)), int(rng.integers(1, 40))
+        x = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-5, 5, size=n) + 100 * rng.normal(size=n)
+        x[:, rng.integers(n)] = 3.0
+        labels = rng.permutation(np.arange(m) % classes)
+        cc, f_corr = correlations(x, labels, classes)
+        assert cc.tobytes() == c_correlation(x, labels, classes).tobytes()
+        assert f_corr().tobytes() == f_correlation_matrix(x).tobytes()
+        # a list picks columns into a column-major copy, as ife_cf does
+        alive = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        order = rng.permutation(alive)[:int(rng.integers(1, len(alive) + 1))].tolist()
+        cc, f_corr = correlations(x[:, alive], labels, classes)
+        assert cc.tobytes() == c_correlation(x[:, alive], labels, classes).tobytes()
+        assert (f_corr(np.searchsorted(alive, order)).tobytes()
+                == f_correlation_matrix(x[:, order]).tobytes())
 
 
 class TestFeatureStats:

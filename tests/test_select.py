@@ -285,6 +285,23 @@ class TestSearch:
         assert [m.hex() for _, _, m in r.merit_trace] == [m.hex() for _, m in want]
         assert r.kept == list(best)
 
+    @pytest.mark.parametrize("seed", [1, 2, 10])
+    def test_equal_merits_go_in_subset_order(self, seed):
+        # columns 4 and 5 repeat columns 0 and 1, so a subset and its copy with a column
+        # swapped for its twin tie exactly; of equal merits the oracle's heap pops the
+        # least sorted subset, which on these inputs is not the first one scored
+        d = random_dataset(np.random.default_rng(seed), m=60, n=4)
+        d = make_dataset(np.column_stack([d.features, d.features[:, :2]]), d.labels)
+        cfg = SelectionConfig()
+        r = cfs_search(d, cfg)
+        merits = [m for _, _, m in r.merit_trace]
+        assert len(set(merits)) < len(merits)
+        cc = c_correlation(d.features, d.labels, d.class_count).tolist()
+        want, best = cfs_trace_oracle(cc, f_correlation_matrix(d.features), cfg.bffs_patience)
+        assert trace_subsets(r.merit_trace) == [s for s, _ in want]
+        assert [m.hex() for m in merits] == [m.hex() for _, m in want]
+        assert r.kept == list(best)
+
     def test_strong_single_feature_wins(self):
         rng = np.random.default_rng(13)
         m = 300
