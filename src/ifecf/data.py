@@ -45,7 +45,9 @@ class Dataset:
 
     Labels are contiguous ids; ``class_names`` maps each id back to the
     original token from the source file. Arrays are read-only so instances
-    can be shared freely across threads. ``source_sha256`` is the hex sha256
+    can be shared freely across threads. A C-contiguous float64 (int64)
+    array is frozen in place, not copied: after ``d = Dataset(x, ...)``,
+    ``d.features is x`` and ``x`` is read-only. ``source_sha256`` is the hex sha256
     of the file ``load_csv`` read; a derived Dataset has None.
     """
 
@@ -111,14 +113,14 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
 
     ``class_column`` selects the label column by name or 0-based index;
     default is the last column. Labels map to contiguous integer ids in
-    first-appearance order. Blank lines are skipped, and errors name the
-    file's physical line. Rows are parsed in blocks of about ``BLOCK_CELLS``
-    cells, so memory stays near one float64 copy of the features. Blocks of
-    lines with no quote character go to numpy's C reader, which reads the
-    class cells and checks each row's cell count in the same pass; a block it
-    rejects, and from the first quote on every block, is read as rows by the
-    ``csv`` module and parsed by ``float()``. A file with no CR byte is read
-    with LF as its only line end.
+    first-appearance order. A leading UTF-8 byte-order mark is dropped.
+    Blank lines are skipped, and errors name the file's physical line. Rows
+    are parsed in blocks of about ``BLOCK_CELLS`` cells, so memory stays near
+    one float64 copy of the features. Blocks of lines with no quote character
+    go to numpy's C reader, which reads the class cells and checks each row's
+    cell count in the same pass; a block it rejects, and from the first quote
+    on every block, is read as rows by the ``csv`` module and parsed by
+    ``float()``. A file with no CR byte is read with LF as its only line end.
 
     A parsed dataset is cached under the sha256 of the file's bytes (see
     ``_cache_entry``), so a file that was loaded before with the same
@@ -141,7 +143,7 @@ def load_csv(path, class_column=None, delimiter: str = ",") -> Dataset:
     if d is None:
         bound, crs = _line_bound(source)
         try:  # with no CR, a line ends at LF alone, which is found by memchr, not char by char
-            with source.open("r", encoding="utf-8", newline="" if crs else "\n") as fh:
+            with source.open("r", encoding="utf-8-sig", newline="" if crs else "\n") as fh:
                 d = _read(source, fh, class_column, delimiter, bound, digest)
         except UnicodeDecodeError:
             raise _utf8_error(source) from None
@@ -336,7 +338,10 @@ def _read(path: Path, fh, class_column, delimiter: str, bound: int, digest: str)
         raise DataError(f"{path}: need a header row and at least one data row")
     header = [c.strip() for c in head[1]]
     arity = len(header)
-    fast = arity > 1 and delimiter != " " and '"' not in line
+    if arity < 2:
+        raise DataError(f"{path}:{head[0]}: need a class column and at least one feature "
+                        f"column, got the header {header}")
+    fast = delimiter != " " and '"' not in line
     if class_column is None:
         class_idx = arity - 1
     elif isinstance(class_column, int):

@@ -23,7 +23,7 @@ def correlation(x, y) -> float:
     the two columns as ``_unit_columns`` scales them.
 
     Raises MeasureError when either vector holds one value (the
-    denominator vanishes); never returns NaN.
+    denominator vanishes) or a NaN or infinite value; never returns NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -44,30 +44,33 @@ def dispersion_scores(features: np.ndarray) -> np.ndarray:
 
 
 def _moments(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each column's mean, population std and dispersion, in one pass over the
-    columns as ``_pow2_scaled`` scales them. The dispersion is free of scale,
-    so it divides the scaled moments; ``np.ldexp`` scales the mean and std
-    back. Those take the steps of numpy's ``mean`` and ``std``, so they equal
+    """Each column's mean, population std and dispersion, from the columns
+    as ``_centred`` scales them. The dispersion is free of scale, so it
+    divides the scaled moments; ``np.ldexp`` scales the mean and std back.
+    Those take the steps of numpy's ``mean`` and ``std``, so they equal
     numpy's bit for bit on columns whose scaled values stay normal."""
-    dev, exponents = _pow2_scaled(features)
-    means = dev.mean(axis=0)
-    dev -= means
+    dev, exponents, means, _ = _centred(features)
     sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
-    disp = np.full(means.size, np.nan)
-    nz = means != 0
-    disp[nz] = np.abs(sigma[nz] / means[nz])
+    disp = np.abs(np.divide(sigma, means, out=np.full(means.size, np.nan), where=means != 0))
     return np.ldexp(means, exponents), np.ldexp(sigma, exponents), disp
 
 
-def _pow2_scaled(features) -> tuple[np.ndarray, np.ndarray]:
-    """A float64 copy of ``features`` with each column scaled by the power of
-    two that brings its largest |value| into [0.5, 1), and each column's
-    exponent of two, by which ``np.ldexp`` scales it back. The scaling is
-    exact. The column sums cannot overflow, and the largest deviation from
-    the column mean is 0 or at least 2**-54, so its square is in range."""
+def _centred(features) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A float64 copy of ``features``, each column scaled exactly by the power
+    of two that brings its largest |value| into [0.5, 1) and centred; the
+    exponents, which ``np.ldexp`` undoes; the scaled means; and the mask of
+    the columns that vary (max > min). Sums cannot overflow, and a column
+    that varies keeps a deviation of at least 2**-54, whose square is in
+    range. MeasureError: a NaN or infinite value."""
     a = np.array(features, dtype=np.float64)
-    _, exponents = np.frexp(np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)))
-    return np.ldexp(a, -exponents, out=a), exponents
+    hi, lo = a.max(axis=0, initial=-np.inf), a.min(axis=0, initial=np.inf)
+    top = np.maximum(hi, -lo)  # -inf for a column of no rows
+    if not (top < np.inf).all():  # NaN fails the test too
+        raise MeasureError("NaN or infinite input value")
+    _, exponents = np.frexp(top)
+    means = np.ldexp(a, -exponents, out=a).mean(axis=0)
+    a -= means
+    return a, exponents, means, hi > lo  # no rows: -inf > inf is False
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,8 @@ class FeatureStats:
 def _unit_columns(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column centred and scaled to unit norm, and the mask of the columns
     that vary; a column that holds one value is all 0."""
-    scaled, _ = _pow2_scaled(features)
-    scaled -= scaled.mean(axis=0)
+    scaled, _, _, ok = _centred(features)
     norms = np.sqrt((scaled**2).sum(axis=0))
-    ok = (norms > 0) & (features != features[:1]).any(axis=0)
     np.divide(scaled, norms, out=scaled, where=ok)
     scaled[:, ~ok] = 0.0
     return scaled, ok
@@ -144,7 +145,10 @@ def _information_gains(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Information gain between the class ids y (in [0, k)) and each column
     of x cut into at most BINS bins."""
     m, c = x.shape
-    cuts = _cut_points(np.sort(x, axis=0))
+    sorted_cols = np.sort(x, axis=0)  # NaN sorts last
+    if not np.isfinite(sorted_cols[[0, -1]]).all():
+        raise MeasureError("NaN or infinite input value")
+    cuts = _cut_points(sorted_cols)
     # key (column * BINS + bin) * k + class, where a value's bin is the number
     # of cuts below it (searchsorted, side="left"); a repeated cut leaves an
     # empty bin, which adds nothing below
@@ -167,9 +171,10 @@ def c_correlation(features: np.ndarray, labels, class_count: int) -> np.ndarray:
     into BINS equal-frequency bins (one bin per value when it has BINS or
     fewer distinct values; a value equal to a cut falls in the lower bin),
     in column blocks of about ``BLOCK_CELLS`` values. Constant features
-    score 0. MeasureError: labels that do not match the rows or are not
-    class ids in [0, class_count), no rows on more classes, zero-variance
-    labels on two unless every feature is constant.
+    score 0. MeasureError: a NaN or infinite value, labels that do not
+    match the rows or are not class ids in [0, class_count), no rows on
+    more classes, zero-variance labels on two unless every feature is
+    constant.
     """
     return correlations(features, labels, class_count)[0]
 

@@ -65,9 +65,10 @@ class SelectionResult:
         }
 
 
-def merit_value(k: int, r_cf: float, r_ff: float) -> float:
-    """Hall's CFS merit k*r_cf / sqrt(k + k(k-1)*r_ff) of a k-feature subset."""
-    return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
+def merit_value(k: int, r_cf, r_ff):
+    """Hall's CFS merit k*r_cf / sqrt(k + k(k-1)*r_ff) of a k-feature subset,
+    of scalars or elementwise of arrays, in the same float order."""
+    return k * r_cf / np.sqrt(k + k * (k - 1) * r_ff)
 
 
 def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
@@ -82,37 +83,31 @@ def ife_cf(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     """
     result = SelectionResult(kept=[])
     disp = dispersion_scores(train.features)
-    alive = []
-    for j in range(train.n_features):
-        if math.isnan(disp[j]):
-            result.flags.append((j, "zero-mean: dispersion undefined, pass skipped"))
-            alive.append(j)
-        elif disp[j] < cfg.delta:
-            result.eliminated.append((j, "low-dispersion", float(disp[j])))
-        else:
-            alive.append(j)
+    result.flags = [(j, "zero-mean: dispersion undefined, pass skipped")
+                    for j in np.flatnonzero(np.isnan(disp)).tolist()]
+    low = disp < cfg.delta  # False for NaN
+    result.eliminated = [(j, "low-dispersion", s)
+                         for j, s in zip(np.flatnonzero(low).tolist(), disp[low].tolist())]
 
+    alive = np.flatnonzero(~low)
     scores, f_corr = correlations(train.features[:, alive], train.labels, train.class_count)
-    cc = dict(zip(alive, scores.tolist()))
-    survivors = []
-    for j in alive:
-        if cc[j] < cfg.tau_c:
-            result.eliminated.append((j, "low-c-correlation", cc[j]))
-        else:
-            survivors.append(j)
+    weak = scores < cfg.tau_c
+    result.eliminated += [(j, "low-c-correlation", s)
+                          for j, s in zip(alive[weak].tolist(), scores[weak].tolist())]
 
-    # descending relevance; equal scores keep the lower index first
-    order = sorted(survivors, key=lambda j: (-cc[j], j))
+    # positions in alive by descending relevance; equal scores keep the lower index first
+    strong = np.flatnonzero(~weak)
+    at = strong[np.argsort(-scores[strong], kind="stable")]
+    order = alive[at].tolist()
+    rmat = f_corr(at)
     keep = np.ones(len(order), dtype=bool)
-    if order:
-        rmat = f_corr(np.searchsorted(alive, order))
-        for pos, j in enumerate(order):
-            if not keep[pos]:
-                continue
-            later = pos + 1 + np.flatnonzero(keep[pos + 1:] & (rmat[pos, pos + 1:] > cfg.tau_f))
-            keep[later] = False
-            result.eliminated.extend((order[q], f"redundant-with({j})", r)
-                                     for q, r in zip(later.tolist(), rmat[pos, later].tolist()))
+    for pos, j in enumerate(order):
+        if not keep[pos]:
+            continue
+        later = pos + 1 + np.flatnonzero(keep[pos + 1:] & (rmat[pos, pos + 1:] > cfg.tau_f))
+        keep[later] = False
+        result.eliminated.extend((order[q], f"redundant-with({j})", r)
+                                 for q, r in zip(later.tolist(), rmat[pos, later].tolist()))
 
     result.kept = sorted(j for j, k in zip(order, keep.tolist()) if k)
     if not result.kept:
@@ -134,7 +129,7 @@ def cfs_merit(train: Dataset, subset) -> float:
     r_ff = 0.0
     if k > 1:
         r_ff = float(np.triu(f_correlation_matrix(x), 1).sum()) / (k * (k - 1) / 2)
-    return merit_value(k, r_cf, r_ff)
+    return float(merit_value(k, r_cf, r_ff))
 
 
 def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
@@ -144,8 +139,8 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
     feature at a time, and stops after ``bffs_patience`` consecutive
     expansions that fail to improve the best merit seen. Each open subset
     carries its sums of class and pairwise feature correlations, so one
-    expansion scores all children from one row sum of the |r| matrix, in
-    ``merit_value``'s float order. The trace holds ``(parent, feature,
+    expansion scores all children through ``merit_value`` from one row sum
+    of the |r| matrix. The trace holds ``(parent, feature,
     merit)`` per scored subset: its parent's trace index (-1: the empty set).
     A subset is a bitmask of its features; the open subset of highest merit
     goes first, and of equal merits the least sorted tuple (``_pop_best``).
@@ -167,7 +162,7 @@ def cfs_search(train: Dataset, cfg: SelectionConfig) -> SelectionResult:
         child_cf = sum_cf + cc
         child_ff = sum_ff + rmat[:, subset].sum(axis=1)
         r_ff = child_ff / (k * (k - 1) / 2) if k > 1 else 0.0
-        merits = k * (child_cf / k) / np.sqrt(k + k * (k - 1) * r_ff)
+        merits = merit_value(k, child_cf / k, r_ff)
         improved = False
         for f, (m, f_cf, f_ff) in enumerate(zip(merits.tolist(), child_cf.tolist(),
                                                 child_ff.tolist())):

@@ -246,3 +246,40 @@ def cut_points_oracle(sorted_cols, bins=10):
             cuts[:, j] = np.inf
             cuts[:values.size - 1, j] = (values[:-1] + values[1:]) / 2.0
     return cuts
+
+
+# Bit-exact references for measures._moments and measures._unit_columns:
+# the scaling, the centring and the scan for constant columns, each on its own.
+def pow2_scaled_oracle(features):
+    """A float64 copy of ``features`` with each column scaled by the power of
+    two that brings its largest |value| into [0.5, 1), and each column's
+    exponent of two."""
+    a = np.array(features, dtype=np.float64)
+    _, exponents = np.frexp(np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)))
+    return np.ldexp(a, -exponents, out=a), exponents
+
+
+def moments_oracle(features):
+    """Each column's mean, population std and dispersion (NaN for a zero
+    mean), from the columns as ``pow2_scaled_oracle`` scales them."""
+    dev, exponents = pow2_scaled_oracle(features)
+    means = dev.mean(axis=0)
+    dev -= means
+    sigma = np.sqrt(np.multiply(dev, dev, out=dev).mean(axis=0))
+    disp = np.full(means.size, np.nan)
+    nz = means != 0
+    disp[nz] = np.abs(sigma[nz] / means[nz])
+    return np.ldexp(means, exponents), np.ldexp(sigma, exponents), disp
+
+
+def unit_columns_oracle(features):
+    """Each column centred and scaled to unit norm, and the mask of the
+    columns that vary, found by a scan of the raw values; a column that holds
+    one value is all 0."""
+    scaled, _ = pow2_scaled_oracle(features)
+    scaled -= scaled.mean(axis=0)
+    norms = np.sqrt((scaled**2).sum(axis=0))
+    ok = (norms > 0) & (features != features[:1]).any(axis=0)
+    np.divide(scaled, norms, out=scaled, where=ok)
+    scaled[:, ~ok] = 0.0
+    return scaled, ok

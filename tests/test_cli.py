@@ -112,6 +112,19 @@ class TestStats:
         else:
             assert "class column" in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfcls,a,b\nx,1,2\ny,3,5\nx,2,2\n")
+        assert main(["stats", str(p), "--class-column", "cls"]) == 0
+        assert [r.split()[1] for r in capsys.readouterr().out.splitlines()[2:]] == ["a", "b"]
+
+    def test_one_column_header_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "semi.csv"
+        p.write_text("a;b;class\n1;2;x\n3;4;y\n")
+        assert main(["stats", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}:1: need a class column and at least one feature column" in err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.csv")]) == 2
 

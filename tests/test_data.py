@@ -77,6 +77,30 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="need a header row and at least one data row"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, class_column", [
+        ("a,b,cls\n1,2,x\n3,4,y\n", None),
+        ("cls,a,b\r\nx,1,2\r\ny,3,4\r\n", "cls"),
+        ('"cls",a,b\nx,1,2\ny,3,4\n', "cls"),
+        ("\ncls a b\nx 1 2\ny 3 4\n", "cls"),
+    ], ids=["lf", "crlf", "quoted", "spaces"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, class_column):
+        delimiter = " " if " " in text else ","
+        plain = _write(tmp_path, text, "plain.csv")
+        marked = _write(tmp_path, "\ufeff" + text, "marked.csv")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        want, got = (load_csv(path, class_column, delimiter) for path in (plain, marked))
+        assert got.feature_names == want.feature_names == ("a", "b")
+        assert got.class_names == want.class_names == ("x", "y")
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+
+    @pytest.mark.parametrize("text", ["a;b;cls\n1;2;x\n3;4;y\n", "\ncls\nx\ny\n"])
+    def test_one_column_header_names_the_file(self, tmp_path, text):
+        p = _write(tmp_path, text)
+        with pytest.raises(DataError, match=r"d\.csv:\d: need a class column and at least one "
+                                            r"feature column"):
+            load_csv(p)
+
     def test_header_only_names_a_bad_class_column_first(self, tmp_path):
         # the class column is resolved before the data rows are read
         p = _write(tmp_path, "a,b,cls\n")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from oracles import (
     dispersion_oracle,
     entropy_oracle,
     info_gain_oracle,
+    moments_oracle,
+    unit_columns_oracle,
 )
 
 
@@ -462,3 +465,59 @@ class TestFeatureStats:
         stats = feature_stats(make_dataset(x * 2.0**exponent, np.arange(40) % 2))
         assert [s.mean for s in stats] == (x.mean(axis=0) * 2.0**exponent).tolist()
         assert [s.std_dev for s in stats] == (x.std(axis=0) * 2.0**exponent).tolist()
+
+
+@st.composite
+def awkward_columns(draw):
+    """An (M, N) matrix, C- or F-ordered, whose columns may be constant, hold
+    +-0.0, and span magnitudes from 1e-300 to 1e300."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    unit = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    cols = []
+    for _ in range(n):
+        lo = draw(st.integers(-300, 300))
+        hi = draw(st.integers(lo, 300))
+        col = [draw(unit) * 10.0 ** draw(st.integers(lo, hi)) for _ in range(m)]
+        cols.append(col[:1] * m if draw(st.booleans()) else col)
+    x = np.array(cols).T
+    return np.asfortranarray(x) if draw(st.booleans()) else np.ascontiguousarray(x)
+
+
+class TestCentring:
+    @settings(max_examples=300, deadline=None)
+    @given(x=awkward_columns())
+    def test_moments_and_unit_columns_keep_the_oracles_bits(self, x):
+        # a mean that cancels to a subnormal overflows the dispersion in both
+        with np.errstate(over="ignore"):
+            got, want = measures._moments(x), moments_oracle(x)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        got, want = measures._unit_columns(x), unit_columns_oracle(x)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x, y: dispersion_scores(x),
+        lambda x, y: feature_stats(types.SimpleNamespace(features=x, labels=y % 2, class_count=2)),
+        lambda x, y: f_correlation_matrix(x),
+        lambda x, y: correlation(x[:, 0], x[:, 1]),
+        lambda x, y: correlation(x[:, 1], x[:, 0]),
+        lambda x, y: correlations(x, y % 2, 2),
+        lambda x, y: c_correlation(x, y % 2, 2),
+        lambda x, y: correlations(x, y, 3),
+        lambda x, y: c_correlation(x, y, 3),
+    ], ids=["dispersion_scores", "feature_stats", "f_correlation_matrix", "correlation-x",
+            "correlation-y", "correlations-2", "c_correlation-2", "correlations-3",
+            "c_correlation-3"])
+    def test_a_non_finite_column_raises(self, call, bad):
+        x = np.random.default_rng(24).normal(size=(30, 3))
+        x[:, 1] = bad
+        with pytest.raises(MeasureError, match="NaN or infinite"):
+            call(x, np.arange(30) % 3)
+
+    @pytest.mark.parametrize("row", [0, 7, 29])
+    def test_one_non_finite_value_raises_on_more_classes(self, row):
+        x = np.random.default_rng(25).normal(size=(30, 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            x[row, 2] = bad
+            with pytest.raises(MeasureError, match="NaN or infinite"):
+                c_correlation(x, np.arange(30) % 3, 3)

@@ -16,7 +16,7 @@ from ifecf.select import (
     relief,
 )
 from ifecf import select
-from ifecf.measures import c_correlation, f_correlation_matrix
+from ifecf.measures import c_correlation, dispersion_scores, f_correlation_matrix
 from oracles import (
     cfs_trace_oracle,
     dispersion_oracle,
@@ -191,6 +191,52 @@ class TestIfeCf:
         assert all(type(score) is float for _, _, score in r.eliminated)
         assert r.kept == sorted(set(range(15)) - dropped)
 
+    def test_flags_and_eliminations_in_pass_order(self):
+        # zero-mean columns 1 (relevant) and 5 (not), low-dispersion columns 2
+        # and 6, irrelevant columns 3 and 7, and column 4 = 2 * column 0,
+        # which ties column 0's relevance bit for bit and so comes after it
+        rng = np.random.default_rng(9)
+        labels = np.repeat([0, 1], 20)
+        signal = labels + 5 + rng.normal(0, 0.3, 40)
+        halves = np.tile([2.0, 3.0], 20)  # each class half 2.0 and half 3.0
+        x = np.column_stack([signal, 2.0 * labels - 1, 100 + 1e-3 * rng.normal(size=40), halves,
+                             2 * signal, halves - 2.5, 50 + 1e-3 * rng.normal(size=40),
+                             3 * halves])
+        r = ife_cf(make_dataset(x, labels), SelectionConfig(delta=0.01, tau_c=0.1, tau_f=0.9))
+        disp = dispersion_scores(x).tolist()
+        alive = [0, 1, 3, 4, 5, 7]
+        cc = dict(zip(alive, c_correlation(x[:, alive], labels, 2).tolist()))
+        assert r.flags == [(1, "zero-mean: dispersion undefined, pass skipped"),
+                           (5, "zero-mean: dispersion undefined, pass skipped")]
+        assert r.eliminated == [
+            (2, "low-dispersion", disp[2]), (6, "low-dispersion", disp[6]),
+            (3, "low-c-correlation", cc[3]), (5, "low-c-correlation", cc[5]),
+            (7, "low-c-correlation", cc[7]),
+            (4, "redundant-with(0)", float(f_correlation_matrix(x[:, [0, 4]])[0, 1]))]
+        assert r.kept == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_two_passes_match_the_per_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, m=60, n=12, classes=2 + seed % 2)
+        x = np.array(d.features)
+        x[:, rng.choice(12, 2, replace=False)] -= 0.5 * rng.normal(size=2) + 5
+        x[:, 3] = np.tile([-1.0, 1.0], 30)  # zero mean
+        d = make_dataset(x, d.labels)
+        cfg = SelectionConfig(delta=float(rng.uniform(0.1, 1.0)), tau_c=float(rng.uniform(0, 0.3)))
+        disp = dispersion_scores(x).tolist()
+        flags = [(j, "zero-mean: dispersion undefined, pass skipped")
+                 for j in range(12) if math.isnan(disp[j])]
+        want = [(j, "low-dispersion", disp[j]) for j in range(12) if disp[j] < cfg.delta]
+        alive = [j for j in range(12) if not disp[j] < cfg.delta]
+        cc = c_correlation(x[:, alive], d.labels, d.class_count).tolist()
+        want += [(j, "low-c-correlation", s) for j, s in zip(alive, cc) if s < cfg.tau_c]
+        assert {reason for _, reason, _ in want} == {"low-dispersion", "low-c-correlation"}
+        r = ife_cf(d, cfg)
+        assert r.flags == flags and len(flags) >= 1
+        assert r.eliminated[:len(want)] == want
+        assert all(reason.startswith("redundant-with(") for _, reason, _ in r.eliminated[len(want):])
+
 
 class TestMerit:
     def test_k1_equals_ccorr(self):
@@ -211,6 +257,16 @@ class TestMerit:
             assert merit_value(k, r_cf, r_ff) == pytest.approx(
                 merit_oracle(k, r_cf, r_ff), abs=1e-12
             )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
+    def test_arrays_keep_the_bits_of_each_scalar(self, k):
+        # cfs_search scores a row of children, cfs_merit one subset
+        rng = np.random.default_rng(k)
+        r_cf, r_ff = rng.uniform(0, 1, size=50), rng.uniform(0, 1, size=50)
+        want = [float(merit_value(k, a, b)) for a, b in zip(r_cf.tolist(), r_ff.tolist())]
+        assert merit_value(k, r_cf, r_ff).tolist() == want
+        assert merit_value(k, r_cf, 0.0).tolist() == [float(merit_value(k, a, 0.0))
+                                                      for a in r_cf.tolist()]
 
     def test_k2_derived_value(self):
         assert merit_value(2, 0.5, 0.3) == pytest.approx(1.0 / math.sqrt(2.6), abs=1e-12)
