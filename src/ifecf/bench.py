@@ -81,9 +81,9 @@ class SweepConfig:
 
 @dataclass
 class SweepReport:
-    """A sweep's config, its records and the environment that ran it. Each
-    record is the dict that ``report.json`` stores (``_evaluate`` builds
-    it); ``variant_grid`` reads them as a grid."""
+    """A sweep's config, its records and the environment that ran it.
+    ``to_dict`` is the whole ``report.json`` document, whose records
+    ``_evaluate`` builds and ``variant_grid`` reads as a grid."""
 
     config: SweepConfig
     records: list[dict]
@@ -98,29 +98,53 @@ class SweepReport:
             "eval_target": self.config.eval_target,
             "environment": self.environment,
             "records": self.records,
+            "timing_stability": timing_stability(self) if self.config.repeats >= 3 else None,
         }
 
     def accuracy_table(self, variant: str) -> list[list]:
         """Rows: one per fraction; columns: split label then accuracy per alpha."""
-        return [[f"{round(f * 100)}-{round((1 - f) * 100)}"]
-                + [f"{r['accuracy']:.2f}" for r in row]
-                for f, row in zip(self.config.fractions, variant_grid(self.to_dict(), variant))]
+        grid = variant_grid({"fractions": list(self.config.fractions),
+                             "alphas": list(self.config.alphas), "records": self.records}, variant)
+        return [[f"{round(f * 100)}-{round((1 - f) * 100)}"] + [f"{r['accuracy']:.2f}" for r in row]
+                for f, row in zip(self.config.fractions, grid)]
 
 
 def variant_grid(report: dict, variant: str) -> list[list[dict]]:
     """The records of ``variant`` in a ``report.json`` dict as one row per
-    fraction and one record per alpha, read in the order ``run_sweep``
-    writes them (fraction-major). Raises ``BenchError`` unless they fill
-    the grid exactly."""
-    records = [r for r in report["records"] if r["variant"] == variant]
-    cells = [(f, a) for f in report["fractions"] for a in report["alphas"]]
-    for i, (f, a) in enumerate(cells):
-        if i == len(records) or (records[i]["fraction"], records[i]["alpha"]) != (f, a):
-            raise BenchError(f"no record for cell ({f}, {a}, {variant})")
-    if len(records) > len(cells):
-        raise BenchError(f"{len(records)} {variant} records for {len(cells)} grid cells")
-    n = len(report["alphas"])
-    return [records[i * n:(i + 1) * n] for i in range(len(report["fractions"]))]
+    fraction and one record per alpha, in ``run_sweep``'s (fraction-major)
+    order. Raises ``BenchError`` unless the whole dict is well formed."""
+    return _grids(report, variant)[variant]
+
+
+def _grids(report, *variants: str) -> dict[str, list[list[dict]]]:
+    """The grids of ``variants`` and of each variant with records, by name;
+    one pass over the records first checks all that the charts read."""
+    lists, number = ("fractions", "alphas", "records"), (int, float)
+    if not (isinstance(report, dict) and all(isinstance(report.get(k), list) and report[k]
+                                             for k in lists)):
+        raise BenchError(f"a report needs non-empty lists {', '.join(map(repr, lists))}")
+    fractions, alphas = report["fractions"], report["alphas"]
+    if not all(isinstance(v, number) for v in fractions + alphas):
+        raise BenchError("'fractions' and 'alphas' must hold numbers")
+    keys, by_variant = ("fraction", "alpha", "accuracy", "classify_ms"), {v: [] for v in variants}
+    for r in report["records"]:
+        if not (isinstance(r, dict) and isinstance(r.get("variant"), str)
+                and all(isinstance(r.get(k), number) for k in keys)):
+            raise BenchError(f"every record needs a string 'variant' and the numbers "
+                             f"{', '.join(map(repr, keys))}")
+        by_variant.setdefault(r["variant"], []).append(r)
+    if unknown := by_variant.keys() - {"original", "reduced"}:
+        raise BenchError(f"unknown variant {min(unknown)!r}; "
+                         "a record's variant is 'original' or 'reduced'")
+    cells, n = [(f, a) for f in fractions for a in alphas], len(alphas)
+    for variant, records in sorted(by_variant.items()):
+        for i, (f, a) in enumerate(cells):
+            if i == len(records) or (records[i]["fraction"], records[i]["alpha"]) != (f, a):
+                raise BenchError(f"no record for cell ({f}, {a}, {variant})")
+        if len(records) > len(cells):
+            raise BenchError(f"{len(records)} {variant} records for {len(cells)} grid cells")
+    return {v: [by_variant[v][i * n:(i + 1) * n] for i in range(len(fractions))]
+            for v in sorted(by_variant)}
 
 
 def cell_seed(master: int, fraction_index: int, alpha_index: int) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lvq  # lvq.classify_batch is looked up per call
-from .bench import BenchError, SweepConfig, run_sweep, timing_stability
+from .bench import BenchError, SweepConfig, run_sweep
 from .data import DataError, load_csv
 from .lvq import LVQConfig, LVQError, LVQModel, init_codebook
 from .lvq import train as lvq_train
@@ -198,14 +198,12 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     headers = ["split"] + [f"alpha_{a:g}" for a in cfg.alphas]
-    variants = ["original"] + (["reduced"] if selection else [])
-    for variant in variants:
+    for variant in ["original"] + (["reduced"] if selection else []):
         with (out_dir / f"{variant}.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(headers)
             w.writerows(report.accuracy_table(variant))
     doc = report.to_dict()
-    doc["timing_stability"] = timing_stability(report) if cfg.repeats >= 3 else None
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, allow_nan=False),
                                          encoding="utf-8")
     _write_manifest(out_dir, args, d.source_sha256)
@@ -221,28 +219,11 @@ def cmd_plot(args) -> int:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path}: not a JSON report: {exc}") from None
-    lists = ("fractions", "alphas", "records")
-    if not (isinstance(report, dict) and all(isinstance(report.get(k), list) and report[k]
-                                             for k in lists)):
-        raise DataError(f"{path}: a report needs non-empty lists {', '.join(map(repr, lists))}")
-    number = (int, float)
-    if not all(isinstance(v, number) for v in report["fractions"] + report["alphas"]):
-        raise DataError(f"{path}: 'fractions' and 'alphas' must hold numbers")
-    keys = ("fraction", "alpha", "accuracy", "classify_ms")  # what the charts read
-    if not all(isinstance(r, dict) and isinstance(r.get("variant"), str)
-               and all(isinstance(r.get(k), number) for k in keys) for r in report["records"]):
-        raise DataError(f"{path}: every record needs a string 'variant' and the numbers "
-                        f"{', '.join(map(repr, keys))}")
-    variants = {r["variant"] for r in report["records"]} - {"original", "reduced"}
-    if variants:  # a variant names the chart files and titles them
-        raise DataError(f"{path}: unknown variant {min(variants)!r}; "
-                        "a record's variant is 'original' or 'reduced'")
     try:
-        written = sweep_charts(report, args.out)
+        for p in sweep_charts(report, args.out):
+            print(p)
     except BenchError as exc:
         raise DataError(f"{path}: {exc}") from None
-    for p in written:
-        print(p)
     return EXIT_OK
 
 

@@ -551,14 +551,27 @@ def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset
     """Affine per-feature map by the train (mins, maxs) of ``fit_normalizer``;
     constant features go to 0.5.
 
-    Test values may land outside [0,1]; no clipping.
+    Test values may land outside [0,1]; no clipping. A column whose range,
+    or the distance of one of its values from its min, passes the float64
+    maximum is computed with every operand halved. Halving a normal value is
+    exact, so the column maps to the values it has at any smaller
+    power-of-two scale; every other column is computed unscaled.
     """
     mins, maxs = norm
     if mins.shape[0] != d.n_features:
         raise DataError(f"normalizer fitted on N={mins.shape[0]}, dataset has N={d.n_features}")
-    span = maxs - mins
-    const = span == 0
-    out = np.subtract(d.features, mins)
-    np.divide(out, span, out=out, where=~const)
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    const, wide = span == 0, np.isinf(span)
+    out = np.empty_like(d.features)
+    try:  # the overflow flag finds a far value without a pass of its own
+        with np.errstate(over="raise"):
+            np.subtract(d.features, mins, out=out)
+    except FloatingPointError:  # raised once ``out`` is written
+        wide |= np.isinf(out).any(axis=0)
+    np.divide(out, span, out=out, where=~(const | wide))
+    if wide.any():
+        lo, hi = mins[wide] / 2, maxs[wide] / 2
+        out[:, wide] = (d.features[:, wide] / 2 - lo) / (hi - lo)
     out[:, const] = 0.5
     return Dataset(out, d.labels, d.feature_names, d.class_names)

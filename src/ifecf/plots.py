@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .bench import variant_grid
+from .bench import _grids
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -93,24 +93,21 @@ def line_chart(title: str, x_label: str, y_label: str,
 
 def sweep_charts(report_dict: dict, out_dir) -> list[Path]:
     """Emit accuracy-vs-split and time-vs-split charts per variant of a
-    ``report.json`` dict, whose records ``bench.variant_grid`` reads."""
-    fractions = report_dict["fractions"]
-    alphas = report_dict["alphas"]
-    grids = {v: variant_grid(report_dict, v)
-             for v in sorted({r["variant"] for r in report_dict["records"]})}
+    ``report.json`` dict, read and checked as ``bench.variant_grid`` does:
+    a malformed dict raises ``BenchError`` before ``out_dir`` is made."""
+    grids = _grids(report_dict)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for variant, grid in grids.items():
         for metric, ylab in (("accuracy", "accuracy (%)"), ("classify_ms", "classify time (ms)")):
-            series = {
-                f"alpha={a:g}": [row[ai][metric] for row in grid] for ai, a in enumerate(alphas)
-            }
+            series = {f"alpha={a:g}": [row[ai][metric] for row in grid]
+                      for ai, a in enumerate(report_dict["alphas"])}
             svg = line_chart(
                 f"{metric.replace('_', ' ')} vs train split ({variant})",
                 "train fraction",
                 ylab,
-                list(fractions),
+                report_dict["fractions"],
                 series,
             )
             path = out_dir / f"{metric}_{variant}.svg"

@@ -254,10 +254,18 @@ def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
         )
     if np.count_nonzero(counts) < 2:
         raise SelectionError("relief needs rows of two classes or more; no miss exists")
-    span = train.features.max(axis=0) - train.features.min(axis=0)
+    top, bottom = train.features.max(axis=0), train.features.min(axis=0)
+    with np.errstate(over="ignore"):
+        span = top - bottom
     # A constant column differs by exactly 0 between any two rows, whatever
     # its value; zeroing it keeps that value out of the norms in g.
     x = np.divide(train.features, span, out=np.zeros_like(train.features), where=span > 0)
+    # A range past the float64 maximum is finite once halved, and halving a
+    # normal value is exact: such a column gets the x it has at any smaller
+    # power-of-two scale.
+    wide = np.isinf(span)
+    if wide.any():
+        x[:, wide] = train.features[:, wide] / 2 / (top[wide] / 2 - bottom[wide] / 2)
     rng = np.random.default_rng(cfg.seed)
     picks = rng.choice(m, size=n, replace=False)
     sq = (x**2).sum(axis=1)

@@ -363,6 +363,41 @@ class TestRunSweep:
             [[r[k] for k in keys] for r in projected.records]
 
 
+class TestOverflowingColumn:
+    def test_accuracy_fields_keep_their_bits_under_power_of_two_scaling(self):
+        # column 0 spans 2.87-3.25 * 2**k in each train partition: at the last
+        # k that keeps its values finite, that range passes the float64 maximum
+        rng = np.random.default_rng(5)
+        labels = np.repeat([0, 1], 30)
+        x = np.column_stack([2 * labels - 1 + 0.3 * rng.normal(size=60), rng.normal(size=(60, 2))])
+        kmax = 1024 - int(np.frexp(np.abs(x[:, 0]).max())[1])
+        cfg = small_sweep(selection=SelectionConfig())
+
+        def fields(k):
+            scaled = np.column_stack([np.ldexp(x[:, 0], k), x[:, 1:]])
+            return accuracy_fields(run_sweep(make_dataset(scaled, labels), cfg))
+
+        want = fields(0)
+        assert {r[2] for r in want} == {"original", "reduced"}
+        for k in (1, 600, kmax - 1, kmax):
+            assert fields(k) == want, k
+
+
+class TestReportDocument:
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_to_dict_is_the_whole_report_json(self, repeats):
+        # the document bench wrote before to_dict held timing_stability
+        report = run_sweep(random_dataset(np.random.default_rng(21), m=60, n=4),
+                           small_sweep(repeats=repeats, seed=3, eval_target="whole"))
+        want = {"fractions": [0.5, 0.7], "alphas": [0.1, 0.3], "repeats": repeats, "seed": 3,
+                "eval_target": "whole", "environment": report.environment,
+                "records": report.records,
+                "timing_stability": timing_stability(report) if repeats >= 3 else None}
+        doc = report.to_dict()
+        assert list(doc) == list(want)
+        assert doc == want
+
+
 class TestAccuracyTable:
     def test_missing_cell_raises(self):
         rng = np.random.default_rng(11)

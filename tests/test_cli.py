@@ -14,9 +14,11 @@ import pytest
 from conftest import make_dataset, write_csv
 import ifecf
 from ifecf import __version__, bench, cli, lvq
+from ifecf.bench import BenchError
 from ifecf.cli import main
 from ifecf.data import load_csv
 from ifecf.measures import FeatureStats
+from ifecf.plots import sweep_charts
 from ifecf.select import SelectionConfig, cfs_search, relief
 from oracles import exhaustive_search
 
@@ -438,6 +440,45 @@ class TestBench:
         assert exc.value.code == 1
 
 
+# report.json texts that ``ifecf plot`` rejects, by test id, each with the start of
+# its message after the path
+MALFORMED_REPORTS = {
+    "not-json": (b"{not json", "not a JSON report"),
+    "not-utf8": (b"\xe9t\xe9", "not a JSON report"),
+    "not-an-object": (b"[]", "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+    "no-records": (
+        b'{"fractions": [0.5], "alphas": [0.1]}',
+        "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+    "empty-grid": (
+        b'{"fractions": [], "alphas": [], "records": []}',
+        "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
+    "text-grid": (
+        b'{"fractions": ["a"], "alphas": [0.1], "records": [{"variant": "original"}]}',
+        "'fractions' and 'alphas' must hold numbers"),
+    "record-keys": (
+        b'{"fractions": [0.5], "alphas": [0.1], "records": [{"variant": "original"}]}',
+        "every record needs a string 'variant' and the numbers 'fraction', 'alpha', "
+        "'accuracy', 'classify_ms'"),
+    "text-accuracy": (
+        b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+        b'"variant": "original", "accuracy": "x", "classify_ms": 0.1}]}',
+        "every record needs a string 'variant' and the numbers"),
+    "grid-gap": (
+        b'{"fractions": [0.5, 0.7], "alphas": [0.1], "records": [{"fraction": 0.5, '
+        b'"alpha": 0.1, "variant": "original", "accuracy": 50.0, "classify_ms": 0.1}]}',
+        "no record for cell (0.7, 0.1, original)"),
+    "markup-variant": (
+        b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+        b'"variant": "x<b onload=alert(1)>&", "accuracy": 50.0, "classify_ms": 0.1}]}',
+        "unknown variant 'x<b onload=alert(1)>&'; a record's variant is 'original' or "
+        "'reduced'"),
+    "path-variant": (
+        b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
+        b'"variant": "../../x", "accuracy": 50.0, "classify_ms": 0.1}]}',
+        "unknown variant '../../x'"),
+}
+
+
 class TestPlot:
     def test_regenerate_from_report(self, small_csv, tmp_path):
         # the charts that bench drew, byte for byte: both read the records
@@ -456,40 +497,24 @@ class TestPlot:
         for name in names:
             assert (plot_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
-    @pytest.mark.parametrize("text, message", [
-        (b"{not json", "not a JSON report"),
-        (b"\xe9t\xe9", "not a JSON report"),
-        (b"[]", "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
-        (b'{"fractions": [0.5], "alphas": [0.1]}',
-         "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
-        (b'{"fractions": [], "alphas": [], "records": []}',
-         "a report needs non-empty lists 'fractions', 'alphas', 'records'"),
-        (b'{"fractions": ["a"], "alphas": [0.1], "records": [{"variant": "original"}]}',
-         "'fractions' and 'alphas' must hold numbers"),
-        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"variant": "original"}]}',
-         "every record needs a string 'variant' and the numbers 'fraction', 'alpha', "
-         "'accuracy', 'classify_ms'"),
-        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
-         b'"variant": "original", "accuracy": "x", "classify_ms": 0.1}]}',
-         "every record needs a string 'variant' and the numbers"),
-        (b'{"fractions": [0.5, 0.7], "alphas": [0.1], "records": [{"fraction": 0.5, '
-         b'"alpha": 0.1, "variant": "original", "accuracy": 50.0, "classify_ms": 0.1}]}',
-         "no record for cell (0.7, 0.1, original)"),
-        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
-         b'"variant": "x<b onload=alert(1)>&", "accuracy": 50.0, "classify_ms": 0.1}]}',
-         "unknown variant 'x<b onload=alert(1)>&'; a record's variant is 'original' or "
-         "'reduced'"),
-        (b'{"fractions": [0.5], "alphas": [0.1], "records": [{"fraction": 0.5, "alpha": 0.1, '
-         b'"variant": "../../x", "accuracy": 50.0, "classify_ms": 0.1}]}',
-         "unknown variant '../../x'"),
-    ], ids=["not-json", "not-utf8", "not-an-object", "no-records", "empty-grid", "text-grid",
-            "record-keys", "text-accuracy", "grid-gap", "markup-variant", "path-variant"])
+    @pytest.mark.parametrize("text, message", list(MALFORMED_REPORTS.values()),
+                             ids=list(MALFORMED_REPORTS))
     def test_malformed_report_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report.json"
         path.write_bytes(text)
         assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("case", [k for k in MALFORMED_REPORTS
+                                      if k not in ("not-json", "not-utf8")])
+    def test_sweep_charts_checks_the_report(self, tmp_path, case):
+        # the library call makes plot's checks: no markup or path reaches a chart
+        text, message = MALFORMED_REPORTS[case]
+        with pytest.raises(BenchError) as exc:
+            sweep_charts(json.loads(text), tmp_path / "plots")
+        assert str(exc.value).startswith(message)
         assert not (tmp_path / "plots").exists()
 
 

@@ -438,6 +438,16 @@ class TestDataset:
             Dataset(np.zeros(shape), np.zeros(shape[0], dtype=np.int64),
                     tuple(f"f{j}" for j in range(shape[1])), ("x", "y"))
 
+    @pytest.mark.parametrize("labels, names, error", [
+        ([0, 2], ("a",), "label id outside class table"),
+        ([-1, 0], ("a",), "label id outside class table"),
+        ([0], ("a",), "label vector length does not match instance count"),
+        ([0, 1], ("a", "b"), "feature_names length does not match feature count"),
+    ], ids=["label-past-table", "negative-label", "short-labels", "extra-name"])
+    def test_rejects_inconsistent_parts(self, labels, names, error):
+        with pytest.raises(DataError, match=error):
+            Dataset(np.zeros((2, 1)), np.array(labels), names, ("x", "y"))
+
     def test_project_order(self):
         d = make_dataset([[1, 2, 3], [4, 5, 6]], [0, 1])
         p = d.project([2, 0])
@@ -564,6 +574,23 @@ class TestNormalizer:
         with pytest.raises(DataError, match="N=2"):
             apply_normalizer(other, p)
 
+    def test_overflowing_columns_keep_their_bits_under_power_of_two_scaling(self):
+        # column 0's train range passes the float64 maximum at k = 1023, and
+        # column 1's lowest test value lies that far below its train min
+        train = np.array([[1.0, 1.0, 3.0], [1.5, 1.5, 4.0], [-1.25, 1.25, 5.0]])
+        test = np.array([[-1.75, -1.75, 2.0], [0.0, 0.0, 6.0]])
+
+        def normalized(k):
+            parts = [make_dataset(np.column_stack([np.ldexp(x[:, :2], k), x[:, 2:]]),
+                                  [0, 1, 0][:len(x)]) for x in (train, test)]
+            norm = fit_normalizer(parts[0])
+            return b"".join(apply_normalizer(p, norm).features.tobytes() for p in parts)
+
+        want = normalized(0)
+        assert [k for k in range(1024) if normalized(k) != want] == []
+        assert np.frombuffer(want)[[0, 1, 9, 10]].tolist() == [
+            pytest.approx(2.25 / 2.75), 0.0, pytest.approx(-0.5 / 2.75), -5.5]
+
     def test_idempotent_on_train(self):
         rng = np.random.default_rng(11)
         d = make_dataset(rng.normal(size=(15, 3)), rng.integers(0, 2, 15))
@@ -656,6 +683,49 @@ class TestDatasetCache:
                  names=np.frombuffer(b'[["a"], ["x", "y"]]', np.uint8))
         assert _same(load_csv(p), miss)
         assert len(parses) == 2
+
+    def test_entry_whose_labels_pass_its_class_table_is_rewritten(self, tmp_path, cache_dir,
+                                                                  parses):
+        p = _write(tmp_path, "a,class\n1,x\n2,y\n")
+        miss = load_csv(p)
+        (entry,) = cache_dir.iterdir()
+        whole = entry.read_bytes()
+        np.savez(entry, features=miss.features, labels=miss.labels + 1,
+                 names=np.frombuffer(b'[["a"], ["x", "y"]]', np.uint8))
+        assert _same(load_csv(p), miss)
+        assert entry.read_bytes() == whole
+        assert _same(load_csv(p), miss)  # a hit of the rewritten entry
+        assert len(parses) == 2
+
+    def test_hit_that_cannot_mark_its_entry_still_loads(self, tmp_path, cache_dir, parses,
+                                                        monkeypatch):
+        p = _write(tmp_path, "a,class\n1,x\n2,y\n")
+        miss = load_csv(p)
+
+        def no_utime(*args, **kwargs):
+            raise PermissionError("read-only cache")
+
+        monkeypatch.setattr(data.os, "utime", no_utime)
+        assert _same(load_csv(p), miss)
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("call", ["scandir", "remove"])
+    def test_eviction_that_fails_still_loads(self, tmp_path, cache_dir, parses, monkeypatch,
+                                             call):
+        paths = [_write(tmp_path, f"a,class\n{i},x\n{i + 1},y\n", f"{i}.csv") for i in range(2)]
+        load_csv(paths[0])
+        monkeypatch.setattr(data, "CACHE_BYTES", 0)  # every entry is past the limit
+        failed = []
+
+        def fail(*args, **kwargs):
+            failed.append(args)
+            raise PermissionError(call)
+
+        monkeypatch.setattr(data.os, call, fail)
+        d = load_csv(paths[1])
+        assert d.features[:, 0].tolist() == [1.0, 2.0] and d.class_names == ("x", "y")
+        assert failed and len(list(cache_dir.iterdir())) == 2
+        assert _same(load_csv(paths[1]), d) and len(parses) == 2
 
     def test_file_written_during_the_load_writes_no_entry(self, tmp_path, cache_dir,
                                                           monkeypatch):

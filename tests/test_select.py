@@ -381,6 +381,22 @@ class TestRelief:
         w = relief(d, SelectionConfig(relief_samples=30))
         assert w[0] == 0.0
 
+    def test_overflowing_range_keeps_the_bits_of_a_power_of_two_scaling(self):
+        # the predictive column spans about 2.8 * 2**k: its range passes the
+        # float64 maximum at k = 1023, the last k that keeps its values finite
+        rng = np.random.default_rng(5)
+        labels = np.repeat([0, 1], 20)
+        x = np.column_stack([2 * labels - 1 + 0.3 * rng.normal(size=40), rng.normal(size=40)])
+        kmax = 1024 - int(np.frexp(np.abs(x[:, 0]).max())[1])
+
+        def weights(k):
+            scaled = np.column_stack([np.ldexp(x[:, 0], k), x[:, 1]])
+            return relief(make_dataset(scaled, labels), SelectionConfig(relief_samples=40))
+
+        want = weights(0)
+        assert want[0] > 0.2 > want[1]
+        assert [k for k in range(kmax + 1) if weights(k).tobytes() != want.tobytes()] == []
+
     def test_informative_beats_noise(self):
         wins = 0
         for seed in range(100):
