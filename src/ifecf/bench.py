@@ -13,7 +13,7 @@ import numpy as np
 # perfbench/tracer.py wraps split, fit_normalizer, apply_normalizer, ife_cf,
 # apply_selection, init_codebook, lvq_train and evaluate here by name, and
 # run_sweep looks each up at call time: keep every one of them bound.
-from .data import Dataset, apply_normalizer, check_integers, fit_normalizer, split
+from .data import DataError, Dataset, apply_normalizer, check_integers, fit_normalizer, split
 from .lvq import (LVQConfig, LVQError, LVQModel, evaluate, init_codebook, lockstep_nbytes,
                   train_cells)
 from .lvq import train as lvq_train
@@ -256,7 +256,10 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
             ) from exc
     if cfg.normalize:
         norm = fit_normalizer(parts[0])
-        parts = tuple(apply_normalizer(p, norm) for p in parts)
+        try:
+            parts = tuple(apply_normalizer(p, norm) for p in parts)
+        except DataError as exc:
+            raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
     original = _Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None)
     if sel is None:

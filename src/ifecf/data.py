@@ -555,7 +555,9 @@ def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset
     or the distance of one of its values from its min, passes the float64
     maximum is computed with every operand halved. Halving a normal value is
     exact, so the column maps to the values it has at any smaller
-    power-of-two scale; every other column is computed unscaled.
+    power-of-two scale; every other column is computed unscaled. A
+    normalized value past the float64 maximum (a value far outside a tiny
+    train range) raises ``DataError`` naming its columns.
     """
     mins, maxs = norm
     if mins.shape[0] != d.n_features:
@@ -569,7 +571,14 @@ def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset
             np.subtract(d.features, mins, out=out)
     except FloatingPointError:  # raised once ``out`` is written
         wide |= np.isinf(out).any(axis=0)
-    np.divide(out, span, out=out, where=~(const | wide))
+    scaled = ~(const | wide)
+    try:
+        with np.errstate(over="raise"):
+            np.divide(out, span, out=out, where=scaled)
+    except FloatingPointError:  # raised once ``out`` is written
+        far = [d.feature_names[j] for j in np.flatnonzero(scaled & np.isinf(out).any(axis=0))]
+        raise DataError(f"column {', '.join(map(repr, far))}: a value normalizes past the "
+                        "float64 maximum; it lies too far outside the train range") from None
     if wide.any():
         lo, hi = mins[wide] / 2, maxs[wide] / 2
         out[:, wide] = (d.features[:, wide] / 2 - lo) / (hi - lo)

@@ -201,7 +201,8 @@ def _pop_best(heap: list) -> tuple:
     return tied[0]
 
 
-# Elements of each (picks, M) approximate-distance array in one relief block.
+# Elements of each (picks, M) approximate-distance array, and of each
+# (picks, N) difference array, in one relief block.
 BLOCK_CELLS = 1 << 16
 
 
@@ -216,12 +217,16 @@ def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
     pick order.
 
     The distance of row c from pick i is D = sqrt(S), where S is numpy's
-    sum of (x[c] - x[i])**2 over the N features. Picks go in blocks of
-    ``BLOCK_CELLS // M`` (at least one), and each block gets the approximate
-    squared distances g = |a|² + |b|² - 2·a·b (a = x[c], b = x[i]) of all
-    M rows from one matmul. Only the rows that g cannot rule out get their
-    exact D, so the weights are those of a full per-pick scan, bit for bit,
-    and memory is bounded by the block, not by picks x M.
+    sum of (x[c] - x[i])**2 over the N features. The scaled rows are held
+    in stable class order, so a class's rows are one column range of every
+    distance array: a pick's hits are its class's range less itself, its
+    misses the ranges before and after. Picks go in blocks of one class's
+    picks, ``BLOCK_CELLS // M`` (at least one) at a time, and each block
+    gets the approximate squared distances g = |a|² + |b|² - 2·a·b
+    (a = x[c], b = x[i]) of all M rows from one matmul. Only the rows that
+    g cannot rule out get their exact D, so the weights are those of a full
+    per-pick scan, bit for bit, and memory is bounded by the block, not by
+    picks x M.
 
     The bound, with u = 2**-53, gamma_k = k·u / (1 - k·u) and
     n = |a|² + |b|² (the computed norms differ from the real ones by a
@@ -238,11 +243,16 @@ def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
       4.01·u·S(q) <= 8.1·u·n(q), and the first such c must be kept.
 
     So with tol = 4·(N + 8)·eps·n = 8·(N + 8)·u·n, lo = g - tol and
-    hi = g + tol, let thr be the least hi among the masked rows, reached at
-    row q, and keep the rows with lo <= thr. The exact winner c* has
-    S(c*) <= (1 + 4.01·u)·S(q), so lo(c*) <= S(c*) - (3.9·N + 54)·u·n(c*)
-    and S(c*) <= thr - (3.9·N + 44)·u·n(q); the slack covers the rounding
-    of lo, hi and tol (a few u·n). A NaN bound keeps its row.
+    hi = g + tol, let thr be the least hi in the range, reached at row q.
+    The exact winner c* has S(c*) <= (1 + 4.01·u)·S(q), so
+    lo(c*) <= S(c*) - (3.9·N + 54)·u·n(c*) and
+    S(c*) <= thr - (3.9·N + 44)·u·n(q): lo(c*) <= thr. Pick i takes one
+    bound, T_i = 4·(N + 8)·eps·(|b|² + max_c |a_c|²), at least the tol of
+    each of its cells. Containment: with p the row of least g,
+    lo(c) <= thr <= hi(p) gives g(c) <= min g + tol(c) + tol(p)
+    <= min g + 2·T_i, so the rows with g <= min g + 2·T_i include c*; the
+    slack covers the rounding of g, T_i and the sum (a few u·n). A NaN g
+    keeps every row of its range.
     """
     m, nfeat = train.features.shape
     n = min(cfg.relief_samples, m)
@@ -257,54 +267,76 @@ def relief(train: Dataset, cfg: SelectionConfig) -> np.ndarray:
     top, bottom = train.features.max(axis=0), train.features.min(axis=0)
     with np.errstate(over="ignore"):
         span = top - bottom
+    # Rows in stable class order: class c holds positions [ends[c] - counts[c], ends[c]).
+    order = np.argsort(train.labels, kind="stable")
+    ends = np.cumsum(counts)
+    x = train.features[order]
+    np.divide(x, span, out=x, where=span > 0)
     # A constant column differs by exactly 0 between any two rows, whatever
     # its value; zeroing it keeps that value out of the norms in g.
-    x = np.divide(train.features, span, out=np.zeros_like(train.features), where=span > 0)
+    x[:, span == 0] = 0.0
     # A range past the float64 maximum is finite once halved, and halving a
     # normal value is exact: such a column gets the x it has at any smaller
     # power-of-two scale.
     wide = np.isinf(span)
     if wide.any():
-        x[:, wide] = train.features[:, wide] / 2 / (top[wide] / 2 - bottom[wide] / 2)
-    rng = np.random.default_rng(cfg.seed)
-    picks = rng.choice(m, size=n, replace=False)
+        x[:, wide] = train.features[:, wide][order] / 2 / (top[wide] / 2 - bottom[wide] / 2)
+    # the picks' positions in that order
+    picks = np.argsort(order)[np.random.default_rng(cfg.seed).choice(m, size=n, replace=False)]
     sq = (x**2).sum(axis=1)
     rel = 4 * (nfeat + 8) * np.finfo(np.float64).eps
-    w = np.zeros(nfeat)
+    widest = sq.max()
+    hit, miss = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     step = max(1, BLOCK_CELLS // m)
+    grouped = np.argsort(picks)  # pick indices, class by class: split at the class ends
+    for c, mine in enumerate(np.split(grouped, np.searchsorted(picks[grouped], ends[:-1]))):
+        lo, hi = ends[c] - counts[c], ends[c]
+        # one range holds every miss: the rows past the class, those before
+        # it, or all rows with the class's own at inf
+        fro, to = (hi, m) if lo == 0 else (0, lo) if hi == m else (0, m)
+        for start in range(0, mine.size, step):
+            block = mine[start:start + step]
+            rows = picks[block]
+            g = x[rows] @ x.T
+            g *= -2.0
+            g += sq[rows, None] + sq  # now g = |a|² + |b|² - 2·a·b
+            slack = 2 * rel * (sq[rows] + widest)  # 2·T_i
+            g[np.arange(rows.size), rows] = np.inf  # a pick is not its own hit
+            hit[block] = _nearest(x, order, rows, g[:, lo:hi], slack, lo, (0, 0))
+            g[:, max(lo, fro):min(hi, to)] = np.inf  # nor is any row of its class a miss
+            miss[block] = _nearest(x, order, rows, g[:, fro:to], slack, fro, (lo, hi))
+    w = np.zeros(nfeat)
+    step = max(1, BLOCK_CELLS // nfeat)
     for start in range(0, n, step):
-        block = picks[start:start + step]
-        hi = x[block] @ x.T
-        hi *= -2.0
-        tol = sq[block, None] + sq
-        hi += tol  # now g = |a|² + |b|² - 2·a·b
-        tol *= rel
-        lo = hi - tol
-        hi += tol
-        same = train.labels[block, None] == train.labels
-        other = ~same
-        same[np.arange(block.size), block] = False
-        hit = _nearest(x, block, lo, hi, same)
-        miss = _nearest(x, block, lo, hi, other)
-        delta = ((x[miss] - x[block]) ** 2 - (x[hit] - x[block]) ** 2) / n
-        for row in delta:  # in pick order: a vectorized sum would reorder it
-            w += row
+        b, hits, misses = (x[a[start:start + step]] for a in (picks, hit, miss))
+        delta = ((misses - b) ** 2 - (hits - b) ** 2) / n
+        # left to right in pick order: a pairwise sum would reorder it
+        w = np.add.accumulate(np.vstack((w, delta)))[-1]
     return w
 
 
-def _nearest(x: np.ndarray, block: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             mask: np.ndarray) -> np.ndarray:
-    """For each pick in ``block``, the first masked row at the least exact
-    distance, given bounds ``lo <= S <= hi`` on every squared distance ``S``
-    (see relief). Rows with ``lo`` above the least masked ``hi`` are out; a
-    pick left with one candidate needs no exact distance."""
-    thr = np.where(mask, hi, np.inf).min(axis=1, keepdims=True)
-    cand = mask & ~(lo > thr)  # NaN bounds keep their rows
-    nearest = cand.argmax(axis=1)
-    for r in np.flatnonzero(np.count_nonzero(cand, axis=1) > 1):
-        rows = np.flatnonzero(cand[r])
-        dists = np.sqrt(((x[rows] - x[block[r]]) ** 2).sum(axis=1))
-        nearest[r] = rows[np.argmin(dists)]
+def _nearest(x: np.ndarray, order: np.ndarray, rows: np.ndarray, g: np.ndarray,
+             slack: np.ndarray, first: int, skip: tuple[int, int]) -> np.ndarray:
+    """For each pick position ``rows[r]`` of the class-sorted rows ``x``, the
+    position of the first row by original index (``order``) at the least
+    exact distance among the positions ``first + j`` of the columns j of
+    ``g``, less the pick and the positions in ``range(*skip)``. ``g`` bounds
+    the squared distances to within ``slack / 2`` (see relief), so rows with
+    g above min g + slack are out; a pick left with one candidate needs no
+    exact distance. A row of ``g`` with a NaN has a NaN minimum and keeps
+    every column. The columns of the pick and of ``skip`` hold inf, so they
+    pass only an infinite or NaN threshold, and the exact step drops them."""
+    thr = g.min(axis=1) + slack
+    cand = g <= thr[:, None]
+    nearest = first + cand.argmax(axis=1)
+    if np.count_nonzero(cand) == rows.size and not np.isnan(thr).any():
+        return nearest  # each row has its least g and no other candidate
+    for r in np.flatnonzero(np.count_nonzero(cand, axis=1) != 1):
+        cols = first + np.flatnonzero(~(g[r] > thr[r]))
+        cols = cols[(cols != rows[r]) & ((cols < skip[0]) | (cols >= skip[1]))]
+        cols = cols[np.argsort(order[cols])]
+        dists = np.sqrt(((x[cols] - x[rows[r]]) ** 2).sum(axis=1))
+        nearest[r] = cols[np.argmin(dists)]
     return nearest
 
 

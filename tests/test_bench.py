@@ -271,6 +271,16 @@ class TestRunSweep:
                                              "leaves an empty partition$"):
             run_sweep(d, small_sweep(fractions=(0.5, 0.05), alphas=(0.3,)))
 
+    def test_normalizer_failure_names_the_cell(self):
+        # column f0 holds 0, 1e-300 and 2e-300, and one 1e10 that the 0.1
+        # split puts in the test part
+        x = np.column_stack([np.tile([0.0, 1e-300, 2e-300], 14)[:40], np.arange(40.0)])
+        x[8, 0] = 1e10
+        d = make_dataset(x, np.arange(40) % 2)
+        with pytest.raises(BenchError, match=r"^cell \(0\.1, 0\.3\): column 'f0': a value "
+                                             "normalizes past the float64 maximum"):
+            run_sweep(d, small_sweep(fractions=(0.1,), alphas=(0.3,)))
+
     def test_earlier_training_error_beats_later_preparation_error(self, monkeypatch):
         d = random_dataset(np.random.default_rng(17), m=60, n=4)
         selected = []

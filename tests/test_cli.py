@@ -353,6 +353,17 @@ class TestBench:
         report = json.loads((out / "report.json").read_text())
         assert len(report["records"]) == 4
 
+    def test_value_far_outside_a_tiny_range_exit_2(self, tmp_path, capsys):
+        # column a holds 0, 1e-300 and 2e-300, and one 1e10 in some test part
+        rows = [f"{1e10 if i == 7 else (0.0, 1e-300, 2e-300)[i % 3]!r},{i % 5}.5,{'ab'[i % 2]}"
+                for i in range(40)]
+        path = tmp_path / "far.csv"
+        path.write_text("\n".join(["a,b,class", *rows, ""]))
+        assert main(["bench", str(path), "--no-plot", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell (") and "): column 'a': a value normalizes" in err
+        assert "Warning" not in err
+
     def test_select_emits_reduced(self, small_csv, tmp_path):
         out = tmp_path / "run"
         assert self._run(small_csv, out, "--select", "--tau-c", "0.0") == 0

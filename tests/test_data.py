@@ -591,6 +591,15 @@ class TestNormalizer:
         assert np.frombuffer(want)[[0, 1, 9, 10]].tolist() == [
             pytest.approx(2.25 / 2.75), 0.0, pytest.approx(-0.5 / 2.75), -5.5]
 
+    def test_value_far_outside_a_tiny_range_names_its_column(self):
+        # (1e10 - 0) / 2e-300 passes the float64 maximum; column f1 is finite
+        train = make_dataset([[0.0, 1.0], [1e-300, 2.0], [2e-300, 3.0]], [0, 1, 0])
+        test = make_dataset([[1e-300, 9.0], [1e10, 1.5]], [0, 1])
+        norm = fit_normalizer(train)
+        with pytest.raises(DataError, match="^column 'f0': a value normalizes past the float64"):
+            apply_normalizer(test, norm)
+        assert apply_normalizer(train, norm).features[:, 0].tolist() == [0.0, 0.5, 1.0]
+
     def test_idempotent_on_train(self):
         rng = np.random.default_rng(11)
         d = make_dataset(rng.normal(size=(15, 3)), rng.integers(0, 2, 15))

@@ -482,6 +482,29 @@ class TestRelief:
         if name == "wide":
             d = random_dataset(rng, m=60, n=500)
             return d.features, d.labels, 60
+        if name == "interleaved_ties":
+            # integer rows with the class ids 0-3 interleaved in row order, so
+            # a pick's misses tie at equal distances in classes that sort
+            # before and after its own; rows 0-49 repeat in two more classes
+            base = rng.integers(0, 4, (251, 6)).astype(float)
+            x = np.concatenate([base, base[:50], base[:50]])
+            return x, np.arange(351) % 4, 300
+        if name == "pair_classes_at_ends":
+            # the first and the last class hold two rows each
+            labels = rng.permutation(np.concatenate([[0, 0, 3, 3], rng.integers(1, 3, 196)]))
+            return rng.normal(size=(200, 4)) + labels[:, None], labels, 200
+        if name == "empty_class_ids":
+            # ids 0 and 3 have no rows
+            labels = rng.choice([1, 2, 4], 300)
+            return rng.normal(size=(300, 6)) + 0.5 * labels[:, None], labels, 200
+        if name == "class_fills_blocks":
+            # every row is picked: class 0's picks fill two whole blocks and
+            # half of a third
+            m = 2000
+            step = select.BLOCK_CELLS // m
+            labels = rng.permutation(np.repeat([0, 1, 2], [2 * step + step // 2, 900,
+                                                           1100 - 2 * step - step // 2]))
+            return rng.normal(size=(m, 8)) + labels[:, None], labels, m
         # picks fill three whole blocks and part of a fourth
         m = 5000
         step = select.BLOCK_CELLS // m
@@ -492,7 +515,9 @@ class TestRelief:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", ["duplicate_rows", "integer_ties", "large_offset",
                                       "huge_constant_column", "five_classes", "wide",
-                                      "ragged_blocks"])
+                                      "ragged_blocks", "interleaved_ties",
+                                      "pair_classes_at_ends", "empty_class_ids",
+                                      "class_fills_blocks"])
     def test_bit_identical_to_exact_reference(self, name, seed):
         features, labels, samples = self._exact_case(name, np.random.default_rng(seed))
         d = make_dataset(features, labels)
