@@ -165,8 +165,8 @@ def cmd_classify(args) -> int:
     cols = model.columns(d.feature_names)  # the model's columns, by name
     x = d.features if cols == list(range(d.n_features)) else d.features[:, cols]
     preds = lvq.classify_batch(model, x)  # ids into model.class_names
-    for i, pred in enumerate(preds):
-        print(f"{i}\t{model.class_names[pred]}")
+    names = model.class_names
+    sys.stdout.write("".join(f"{i}\t{names[pred]}\n" for i, pred in enumerate(preds.tolist())))
     # the file's class ids in the model's table; a label the model lacks gets -1
     model_ids = {c: i for i, c in enumerate(model.class_names)}
     to_model = np.array([model_ids.get(c, -1) for c in d.class_names])

@@ -4,6 +4,7 @@ fixed learning rate."""
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -119,7 +120,7 @@ class LVQModel:
 def init_codebook(train: Dataset, cfg: LVQConfig) -> LVQModel:
     """One prototype per class at the class mean, or seeded random distinct
     training instances when more prototypes are requested."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if cfg.prototypes_per_class > 1 else None
     protos, classes = [], []
     present = np.flatnonzero(np.bincount(train.labels, minlength=train.class_count)).tolist()
     for c in present:
@@ -324,25 +325,101 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     return out
 
 
-# Elements of the (rows, P, N) difference temporary in one classify_batch block.
+# Elements of the (P, rows) score array in one classify_batch block, and of
+# the (rows, P, N) difference array in one block of its exact step.
 BLOCK_CELLS = 1 << 16
 
 
 def classify_batch(model: LVQModel, features: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-prototype classification of many rows.
+    """Class of the nearest prototype of each row: the prototype of least S,
+    numpy's sum of (x - w)**2 over the N features, and of equal S the lowest
+    prototype index, as one whole-array ``argmin`` gives it, bit for bit.
 
-    Rows go in blocks of about ``BLOCK_CELLS`` difference elements; each row's
-    squared distances are reduced over N exactly as in one whole-array pass.
+    Rows go in blocks of ``BLOCK_CELLS // P`` (at least one). Each block gets
+    the scores h = |w|² - 2·w·x of the P prototypes from one matmul, laid out
+    (P, rows). Up to rounding h is s - |x|², s the real squared distance, and
+    |x|² is common to a row's prototypes, so h ranks them as s does. A
+    prototype is a candidate for a row when its h <= min h + 2·T, with one T
+    for the call. A row with one candidate takes it; the other rows get
+    their exact S in blocks of ``BLOCK_CELLS // (P·N)`` rows (``_exact``),
+    so memory is bounded by the block even when no row is decided.
+
+    The bound, with u = 2**-53, gamma_k = k·u / (1 - k·u), eta = 2**-1074
+    (the least subnormal) and B = |x|² + max_w |w|² for a row x:
+
+    - The matmul. -2·w is exact. The dot product of -2·w and x, summed in
+      any order, with or without FMA, is off by at most
+      gamma_N·sum|2·w_j·x_j| <= gamma_N·(|w|² + |x|²), and |w|², numpy's row
+      sum of squares in any order, by gamma_N·|w|². The last addition
+      h = d + |w|² adds at most u·|d + |w|²| <= 2.01·u·B. So
+      |h - (s - |x|²)| <= (2·gamma_N + 2.01·u)·B.
+    - The row sum. Each term (x_j - w_j)**2 of S is >= 0 with relative
+      error gamma_3, and numpy's sum of N non-negative terms adds
+      gamma_(N-1) in any order, so |S - s| <= gamma_(N+2)·s
+      <= 2·gamma_(N+2)·B, as s <= 2·(|x|² + |w|²).
+    - Underflow. A product or square with a subnormal result is off by at
+      most eta/2, and a sum or difference with one is exact, so the dot
+      product, |w|² and S each gain at most N·eta more.
+
+    Let p be a prototype of least S for the row and q one of least h. From
+    S(p) <= S(q), h(p) - h(q) <= 4·gamma_(N+2)·B + 2·(2·gamma_N + 2.01·u)·B
+    + 6·N·eta <= (8·N + 13)·u·B + 6·N·eta. The call's
+    T = 4·(N + 8)·(eps·B' + eta), with B' = N·max|x_j|² + max_w |w|² >= B
+    for every row, so 2·T >= (16·N + 128)·u·B + 8·(N + 8)·eta. The rounding
+    of thr = min h + 2·T costs at most u·|thr| <= 2.1·u·B, as
+    |h| <= 2.02·B (none if thr is subnormal), and that of T itself a factor
+    1 - (N + 6)·u. So h(p) <= thr: p is a candidate. If S(a) = S(b) is the
+    least S, both a and b are such a p, so a tie in S leaves two or more
+    candidates and goes to the exact step, whose argmin takes the lower
+    index; a row with one candidate has one prototype of least S, and it is
+    that candidate.
+
+    When 4·B' is finite, no partial sum of h, thr or S exceeds 2.02·B and
+    nothing overflows; every h is finite, so each row keeps its least h as
+    a candidate. A call with a NaN, an infinity, or values so large that
+    4·B' overflows has a T that is not finite, and every row of it goes to
+    the exact step.
     """
     if features.shape[1] != model.n_features:
         raise LVQError("feature arity mismatch")
-    book = model.codebook[None, :, :]
-    step = max(1, BLOCK_CELLS // model.codebook.size)
-    out = np.empty(features.shape[0], dtype=model.classes.dtype)
-    for start in range(0, features.shape[0], step):
+    book, classes = model.codebook, model.classes
+    (p, n), m = book.shape, features.shape[0]
+    with np.errstate(over="ignore"):  # an infinite |w|² sends every row to _exact
+        sq = (book**2).sum(axis=1)
+    # a NaN in features makes both extremes NaN
+    peak = float(max(features.max(initial=0.0), -features.min(initial=0.0)))
+    scale = 4.0 * (n * peak * peak + float(sq.max()))  # 4·B'
+    slack = 2 * (n + 8) * (2.0**-52 * scale + 4 * 2.0**-1074)  # 2·T
+    out = np.empty(m, dtype=classes.dtype)
+    if not math.isfinite(scale):
+        out[:] = classes[_exact(book, features, np.arange(m))]
+        return out
+    step = max(1, BLOCK_CELLS // p)
+    neg2, norms, ids = -2.0 * book, sq[:, None], classes.astype(np.float64)
+    scores = np.empty(p * min(step, m))  # each block's h, so one block is alive at a time
+    for start in range(0, m, step):
         x = features[start:start + step]
-        d2 = ((x[:, None, :] - book) ** 2).sum(axis=2)
-        out[start:start + step] = model.classes[np.argmin(d2, axis=1)]
+        h = np.matmul(neg2, x.T, out=scores[:p * x.shape[0]].reshape(p, -1))
+        h += norms
+        thr = h.min(axis=0)
+        thr += slack
+        cand = np.less_equal(h, thr, out=h)  # 1.0 for a candidate, else 0.0
+        # the sum of a row's candidates' class ids (exact): the class of its one candidate
+        out[start:start + step] = ids @ cand
+        if np.count_nonzero(cand) != x.shape[0]:
+            rows = np.flatnonzero(np.count_nonzero(cand, axis=0) != 1)
+            out[start + rows] = classes[_exact(book, features, start + rows)]
+    return out
+
+
+def _exact(book: np.ndarray, features: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of the prototype of least S for each of ``features[rows]``, the
+    lowest of equal S, in blocks of ``BLOCK_CELLS // book.size`` rows."""
+    step = max(1, BLOCK_CELLS // book.size)
+    out = np.empty(rows.size, dtype=np.intp)
+    for start in range(0, rows.size, step):
+        x = features[rows[start:start + step]]
+        out[start:start + step] = ((x[:, None, :] - book) ** 2).sum(axis=2).argmin(axis=1)
     return out
 
 

@@ -257,6 +257,16 @@ class TestTrainClassify:
         err = capsys.readouterr().err
         assert f"accuracy: {correct}/50 = {100 * (correct / 50):.2f}%" in err
 
+    def test_classify_prints_one_line_per_row(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(small_csv), "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(model_path), str(small_csv)]) == 0
+        model = lvq.LVQModel.load(model_path)
+        preds = lvq.classify_batch(model, load_csv(small_csv).features)
+        want = "".join(f"{i}\t{model.class_names[c]}\n" for i, c in enumerate(preds))
+        assert capsys.readouterr().out == want
+
     def _classify(self, tmp_path, capsys, train_text, test_text):
         train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
         train_csv.write_text(train_text)

@@ -562,3 +562,149 @@ class TestClassifyBatchBlocks:
     def test_empty_input(self):
         model = LVQModel(np.zeros((2, 3)), np.array([0, 1]), LVQConfig())
         assert classify_batch(model, np.zeros((0, 3))).shape == (0,)
+
+
+def exact_rows(monkeypatch) -> list:
+    """The row indices that classify_batch hands to its exact step, one
+    array per call, recorded by wrapping the step."""
+    seen = []
+    original = lvq._exact
+
+    def recording(book, features, rows):
+        seen.append(rows.copy())
+        return original(book, features, rows)
+
+    monkeypatch.setattr(lvq, "_exact", recording)
+    return seen
+
+
+def assert_matches_oracle(codebook, x, classes=None):
+    """classify_batch on prototypes ``codebook`` (prototype p of class
+    ``classes[p]``, default p) equals the whole-array formula, bit for bit."""
+    codebook = np.asarray(codebook, dtype=np.float64)
+    classes = np.arange(codebook.shape[0]) if classes is None else np.asarray(classes)
+    out = classify_batch(LVQModel(codebook, classes, LVQConfig()), x)
+    want = classify_batch_unblocked(codebook, classes, x)
+    assert out.dtype == classes.dtype and out.shape == (x.shape[0],)
+    assert np.array_equal(out, want)
+    return out
+
+
+def one_ulp_rows(rng, a, b, count):
+    """Rows near the bisector of prototypes a and b whose exact squared
+    distances to the two are one ulp apart, both ways round."""
+    mid = (a + b) / 2
+    x = mid + rng.normal(size=(200000, a.size)) * 1e-15 * np.abs(mid).max()
+    s = ((x[:, None, :] - np.stack([a, b])) ** 2).sum(axis=2)
+    near = np.nextafter(s.min(axis=1), np.inf) == s.max(axis=1)
+    first = np.flatnonzero(near & (s[:, 0] < s[:, 1]))[:count]
+    second = np.flatnonzero(near & (s[:, 1] < s[:, 0]))[:count]
+    assert first.size == second.size == count
+    return x[np.concatenate([first, second])]
+
+
+class TestClassifyBatchBound:
+    def test_duplicate_prototypes(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        codebook = rng.normal(size=(5, 6))
+        codebook[3] = codebook[0]
+        codebook[4] = codebook[1]
+        x = np.vstack([rng.normal(size=(400, 6)), codebook])
+        seen = exact_rows(monkeypatch)
+        out = assert_matches_oracle(codebook, x)
+        assert not np.isin(out, [3, 4]).any()  # an equal S goes to the lower index
+        # a row nearest a duplicated prototype ties in S, so the exact step takes it
+        assert np.isin(np.flatnonzero(np.isin(out, [0, 1])), np.concatenate(seen)).all()
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_dyadic_bisector_rows_at_block_edges(self, monkeypatch, p):
+        rng = np.random.default_rng(32)
+        step = lvq.BLOCK_CELLS // p
+        codebook = rng.integers(-8, 9, size=(p, 5)) * 0.25 + 8.0
+        codebook[1] = codebook[0]
+        codebook[1, 2] += 2.0
+        tie = codebook[0].copy()
+        tie[2] += 1.0  # squared distance exactly 1 from prototypes 0 and 1
+        x = rng.integers(-8, 9, size=(2 * step + 7, 5)) * 0.25 + 8.0
+        edges = [0, step - 1, step, step + 1, 2 * step - 1, 2 * step, x.shape[0] - 1]
+        x[edges] = tie
+        classes = np.roll(np.arange(p), 1)  # prototype 0 is class p - 1
+        seen = exact_rows(monkeypatch)
+        out = assert_matches_oracle(codebook, x, classes)
+        assert (out[edges] == p - 1).all()
+        assert np.isin(edges, np.concatenate(seen)).all()
+
+    def test_near_tie_one_ulp_goes_to_exact_step(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        codebook = rng.normal(size=(3, 4))
+        near = one_ulp_rows(rng, codebook[0], codebook[1], 20)
+        far = codebook[2] + 0.01 * rng.normal(size=(30, 4))  # well inside prototype 2's cell
+        x = np.vstack([far, near])
+        seen = exact_rows(monkeypatch)
+        out = assert_matches_oracle(codebook, x)
+        assert out[30:].tolist() == [0] * 20 + [1] * 20
+        sent = np.concatenate(seen)
+        assert np.isin(np.arange(30, 70), sent).all()
+        assert not np.isin(np.arange(30), sent).any()  # the bound decides these
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_small_shapes(self, n):
+        rng = np.random.default_rng(100 + n)
+        for p in (1, 2, 5):
+            codebook = rng.normal(size=(p, n))
+            for m in (1, 2, 33):
+                assert_matches_oracle(codebook, rng.normal(size=(m, n)))
+            # half-integer values: many exact ties
+            grid = rng.integers(-2, 3, size=(p, n)) * 0.5
+            assert_matches_oracle(grid, rng.integers(-2, 3, size=(40, n)) * 0.5)
+
+    def test_non_contiguous_column_view(self):
+        rng = np.random.default_rng(34)
+        base = rng.normal(size=(500, 11))
+        codebook = rng.normal(size=(4, 5))
+        for x in (base[:, 1::2], base[::3, :5], np.asfortranarray(base[:, [3, 0, 2, 1, 9]])):
+            assert not x.flags.c_contiguous
+            assert_matches_oracle(codebook, x)
+
+    def test_huge_column_every_row_exact(self, monkeypatch):
+        # a column at 2**1000 in every row and prototype: the bound overflows, the
+        # distances do not, and every row goes to the exact step
+        rng = np.random.default_rng(35)
+        codebook = rng.normal(size=(3, 4))
+        x = rng.normal(size=(300, 4))
+        codebook[:, 2] = x[:, 2] = 2.0**1000
+        seen = exact_rows(monkeypatch)
+        out = assert_matches_oracle(codebook, x)
+        assert np.array_equal(np.concatenate(seen), np.arange(300))
+        assert np.unique(out).size == 3
+        # where the column differs, the squares overflow to inf in both
+        x[::3, 2] = 0.0
+        with np.errstate(over="ignore"):
+            assert_matches_oracle(codebook, x)
+
+    @pytest.mark.parametrize("scale", [2.0**-530, 2.0**-1060])
+    def test_subnormal_values(self, scale):
+        # at 2**-530 the squares are subnormal, and the scores round to a few
+        # bits near the bisector; at 2**-1060 they are 0
+        rng = np.random.default_rng(36)
+        codebook = rng.normal(size=(4, 3)) * scale
+        mid = (codebook[0] + codebook[1]) / 2
+        x = np.vstack([rng.normal(size=(300, 3)) * scale, codebook,
+                       mid + rng.normal(size=(300, 3)) * 1e-5 * scale])
+        assert_matches_oracle(codebook, x)
+
+    def test_nan_and_inf_rows(self):
+        codebook = np.array([[0.0, 0.0], [1.0, 1.0]])
+        x = np.array([[0.9, 0.9], [np.nan, 0.0], [np.inf, 0.0], [0.1, 0.0]])
+        assert_matches_oracle(codebook, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_dyadic_grid(self, data):
+        p, n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 20))
+        values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+        def grid(rows):
+            return np.array(data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+
+        assert_matches_oracle(grid(p).reshape(p, n), grid(m).reshape(m, n))
