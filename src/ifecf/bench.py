@@ -83,7 +83,7 @@ class SweepConfig:
 class SweepReport:
     """A sweep's config, its records and the environment that ran it.
     ``to_dict`` is the whole ``report.json`` document, whose records
-    ``_evaluate`` builds and ``variant_grid`` reads as a grid."""
+    ``_evaluate`` builds and ``variant_grids`` reads as grids."""
 
     config: SweepConfig
     records: list[dict]
@@ -101,24 +101,23 @@ class SweepReport:
             "timing_stability": timing_stability(self) if self.config.repeats >= 3 else None,
         }
 
-    def accuracy_table(self, variant: str) -> list[list]:
-        """Rows: one per fraction; columns: split label then accuracy per alpha."""
-        grid = variant_grid({"fractions": list(self.config.fractions),
-                             "alphas": list(self.config.alphas), "records": self.records}, variant)
-        return [[f"{round(f * 100)}-{round((1 - f) * 100)}"] + [f"{r['accuracy']:.2f}" for r in row]
-                for f, row in zip(self.config.fractions, grid)]
+    def accuracy_tables(self) -> dict[str, list[list[str]]]:
+        """Each variant's accuracy CSV rows, by name: ``split`` and ``alpha_<a>``
+        per alpha, then per fraction its split label and accuracies."""
+        cfg = self.config
+        grids = variant_grids({"fractions": list(cfg.fractions), "alphas": list(cfg.alphas),
+                               "records": self.records})
+        header = ["split"] + [f"alpha_{a:g}" for a in cfg.alphas]
+        return {v: [header] + [[f"{round(f * 100)}-{round((1 - f) * 100)}"]
+                               + [f"{r['accuracy']:.2f}" for r in row]
+                               for f, row in zip(cfg.fractions, grid)] for v, grid in grids.items()}
 
 
-def variant_grid(report: dict, variant: str) -> list[list[dict]]:
-    """The records of ``variant`` in a ``report.json`` dict as one row per
-    fraction and one record per alpha, in ``run_sweep``'s (fraction-major)
-    order. Raises ``BenchError`` unless the whole dict is well formed."""
-    return _grids(report, variant)[variant]
-
-
-def _grids(report, *variants: str) -> dict[str, list[list[dict]]]:
-    """The grids of ``variants`` and of each variant with records, by name;
-    one pass over the records first checks all that the charts read."""
+def variant_grids(report) -> dict[str, list[list[dict]]]:
+    """The records of each variant in a ``report.json`` dict, by name, as one
+    row per fraction and one record per alpha, in ``run_sweep``'s order. One
+    pass first checks all that the tables and the charts read, and raises
+    ``BenchError`` unless the whole dict is well formed."""
     lists, number = ("fractions", "alphas", "records"), (int, float)
     if not (isinstance(report, dict) and all(isinstance(report.get(k), list) and report[k]
                                              for k in lists)):
@@ -126,7 +125,7 @@ def _grids(report, *variants: str) -> dict[str, list[list[dict]]]:
     fractions, alphas = report["fractions"], report["alphas"]
     if not all(isinstance(v, number) for v in fractions + alphas):
         raise BenchError("'fractions' and 'alphas' must hold numbers")
-    keys, by_variant = ("fraction", "alpha", "accuracy", "classify_ms"), {v: [] for v in variants}
+    keys, by_variant = ("fraction", "alpha", "accuracy", "classify_ms"), {}
     for r in report["records"]:
         if not (isinstance(r, dict) and isinstance(r.get("variant"), str)
                 and all(isinstance(r.get(k), number) for k in keys)):
@@ -244,22 +243,14 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
     seed = cell_seed(cfg.seed, fi, ai)
     try:
         parts = split(d, fraction, seed)
-    except ValueError as exc:
-        raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
-    sel = None
-    if cfg.selection is not None:
-        try:
-            sel = ife_cf(parts[0], cfg.selection)
-        except SelectionError as exc:
-            raise BenchError(
-                f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}"
-            ) from exc
-    if cfg.normalize:
-        norm = fit_normalizer(parts[0])
-        try:
+        sel = None if cfg.selection is None else ife_cf(parts[0], cfg.selection)
+        if cfg.normalize:
+            norm = fit_normalizer(parts[0])
             parts = tuple(apply_normalizer(p, norm) for p in parts)
-        except DataError as exc:
-            raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
+    except SelectionError as exc:
+        raise BenchError(f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}") from exc
+    except DataError as exc:
+        raise BenchError(f"cell ({fraction}, {alpha}): {exc}") from exc
     lvq_cfg = LVQConfig(alpha=alpha, epochs=cfg.epochs, seed=seed)
     original = _Cell(fraction, alpha, "original", parts, init_codebook(parts[0], lvq_cfg), None)
     if sel is None:
@@ -291,7 +282,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     reach ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it. The
     report's records are the dicts that ``report.json`` stores, in grid
     order (fraction-major, each cell's original before its reduced
-    variant), as ``variant_grid`` reads them. A reduced variant that keeps
+    variant), as ``variant_grids`` reads them. A reduced variant that keeps
     every column reuses the original's model: its record copies the
     original's accuracy and timing fields.
 

@@ -177,17 +177,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    selection = None
-    if args.select:
-        selection = _config(SelectionConfig, delta=args.delta, tau_c=args.tau_c,
-                            tau_f=args.tau_f)
     cfg = _config(
         SweepConfig,
         fractions=tuple(args.fractions),
         alphas=tuple(args.alphas),
         repeats=args.repeats,
         seed=args.seed,
-        selection=selection,
+        selection=_config(SelectionConfig, delta=args.delta, tau_c=args.tau_c,
+                          tau_f=args.tau_f) if args.select else None,
         eval_target=args.eval_target,
         epochs=args.epochs,
         normalize=not args.no_normalize,
@@ -197,12 +194,9 @@ def cmd_bench(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    headers = ["split"] + [f"alpha_{a:g}" for a in cfg.alphas]
-    for variant in ["original"] + (["reduced"] if selection else []):
+    for variant, table in report.accuracy_tables().items():
         with (out_dir / f"{variant}.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(headers)
-            w.writerows(report.accuracy_table(variant))
+            csv.writer(fh).writerows(table)
     doc = report.to_dict()
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, allow_nan=False),
                                          encoding="utf-8")

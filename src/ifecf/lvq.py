@@ -333,7 +333,8 @@ BLOCK_CELLS = 1 << 16
 def classify_batch(model: LVQModel, features: np.ndarray) -> np.ndarray:
     """Class of the nearest prototype of each row: the prototype of least S,
     numpy's sum of (x - w)**2 over the N features, and of equal S the lowest
-    prototype index, as one whole-array ``argmin`` gives it, bit for bit.
+    prototype index, as one whole-array ``argmin`` gives it, bit for bit;
+    ``_exact`` ranks a finite row whose every S overflows at a smaller scale.
 
     Rows go in blocks of ``BLOCK_CELLS // P`` (at least one). Each block gets
     the scores h = |w|² - 2·w·x of the P prototypes from one matmul, laid out
@@ -414,12 +415,22 @@ def classify_batch(model: LVQModel, features: np.ndarray) -> np.ndarray:
 
 def _exact(book: np.ndarray, features: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index of the prototype of least S for each of ``features[rows]``, the
-    lowest of equal S, in blocks of ``BLOCK_CELLS // book.size`` rows."""
-    step = max(1, BLOCK_CELLS // book.size)
+    lowest of equal S, in blocks of ``BLOCK_CELLS // book.size`` rows. A
+    finite row whose every S overflows and a finite codebook are scaled by
+    2**-k (exact bar underflow) to a largest |value| below 2**t, where
+    N·(2·2**t)² is finite, and the row is ranked again."""
+    step, t = max(1, BLOCK_CELLS // book.size), (1021 - book.shape[1].bit_length()) // 2
     out = np.empty(rows.size, dtype=np.intp)
     for start in range(0, rows.size, step):
         x = features[rows[start:start + step]]
-        out[start:start + step] = ((x[:, None, :] - book) ** 2).sum(axis=2).argmin(axis=1)
+        with np.errstate(over="ignore"):
+            s = ((x[:, None, :] - book) ** 2).sum(axis=2)
+        out[start:start + step] = s.argmin(axis=1)
+        top = np.maximum(np.abs(x).max(axis=1), np.abs(book).max())  # NaN or inf: not redone
+        redo = np.flatnonzero(np.isinf(s.min(axis=1)) & np.isfinite(top))  # most often none
+        k = np.frexp(top[redo])[1] - t
+        x, scaled = np.ldexp(x[redo], -k[:, None]), np.ldexp(book, -k[:, None, None])
+        out[start + redo] = ((x[:, None, :] - scaled) ** 2).sum(axis=2).argmin(axis=1)
     return out
 
 

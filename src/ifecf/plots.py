@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .bench import _grids
+from .bench import variant_grids
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -93,9 +93,9 @@ def line_chart(title: str, x_label: str, y_label: str,
 
 def sweep_charts(report_dict: dict, out_dir) -> list[Path]:
     """Emit accuracy-vs-split and time-vs-split charts per variant of a
-    ``report.json`` dict, read and checked as ``bench.variant_grid`` does:
-    a malformed dict raises ``BenchError`` before ``out_dir`` is made."""
-    grids = _grids(report_dict)
+    ``report.json`` dict, read and checked by ``bench.variant_grids``: a
+    malformed dict raises ``BenchError`` before ``out_dir`` is made."""
+    grids = variant_grids(report_dict)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -100,3 +100,10 @@ def pima_csv(tmp_path_factory, pima_dataset):
     path = tmp_path_factory.mktemp("data") / "pima_like.csv"
     write_csv(pima_dataset, path)
     return path
+
+
+@pytest.fixture(scope="session")
+def lung_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "lung_like.csv"
+    write_csv(lung_like(), path)
+    return path

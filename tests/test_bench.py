@@ -14,7 +14,7 @@ from ifecf.bench import (
     paper_efficiency,
     run_sweep,
     timing_stability,
-    variant_grid,
+    variant_grids,
 )
 from ifecf.lvq import LVQError, lockstep_nbytes
 from ifecf.select import SelectionConfig, SelectionError
@@ -412,19 +412,34 @@ class TestAccuracyTable:
     def test_missing_cell_raises(self):
         rng = np.random.default_rng(11)
         report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep())
-        assert [row[0] for row in report.accuracy_table("original")] == ["50-50", "70-30"]
-        with pytest.raises(BenchError, match="no record"):
-            report.accuracy_table("reduced")
+        tables = report.accuracy_tables()  # a table for each variant with records
+        assert list(tables) == ["original"]
+        assert [row[0] for row in tables["original"]] == ["split", "50-50", "70-30"]
+        del report.records[1]
+        with pytest.raises(BenchError, match=r"^no record for cell \(0\.5, 0\.3, original\)$"):
+            report.accuracy_tables()
 
     def test_rows_follow_sweep_order(self):
         rng = np.random.default_rng(12)
         report = run_sweep(random_dataset(rng, m=60, n=4), small_sweep(alphas=(0.3, 0.1, 0.2)))
-        grid = variant_grid(report.to_dict(), "original")
+        grid = variant_grids(report.to_dict())["original"]
         assert [[(r["fraction"], r["alpha"]) for r in row] for row in grid] == \
             [[(f, a) for a in (0.3, 0.1, 0.2)] for f in (0.5, 0.7)]
         assert [r for row in grid for r in row] == report.records
-        assert [row[1:] for row in report.accuracy_table("original")] == \
-            [[f"{r['accuracy']:.2f}" for r in row] for row in grid]
+        header, *rows = report.accuracy_tables()["original"]
+        assert header == ["split", "alpha_0.3", "alpha_0.1", "alpha_0.2"]
+        assert [row[1:] for row in rows] == [[f"{r['accuracy']:.2f}" for r in row] for row in grid]
+
+    def test_reduced_table_with_a_selection(self):
+        rng = np.random.default_rng(13)
+        report = run_sweep(random_dataset(rng, m=60, n=4),
+                           small_sweep(selection=SelectionConfig(tau_c=0.0)))
+        tables, grids = report.accuracy_tables(), variant_grids(report.to_dict())
+        assert list(tables) == list(grids) == ["original", "reduced"]
+        for variant, (header, *rows) in tables.items():
+            assert header == ["split", "alpha_0.1", "alpha_0.3"]
+            assert rows == [[label] + [f"{r['accuracy']:.2f}" for r in row]
+                            for label, row in zip(("50-50", "70-30"), grids[variant])]
 
     @pytest.mark.parametrize("edit", ["drop", "swap", "extra"])
     def test_records_that_do_not_fill_the_grid_raise(self, edit):
@@ -441,7 +456,7 @@ class TestAccuracyTable:
             records.append(dict(records[0]))
             match = r"^5 original records for 4 grid cells$"
         with pytest.raises(BenchError, match=match):
-            variant_grid(doc, "original")
+            variant_grids(doc)
 
 
 class TestPaperEfficiency:

@@ -503,7 +503,7 @@ MALFORMED_REPORTS = {
 class TestPlot:
     def test_regenerate_from_report(self, small_csv, tmp_path):
         # the charts that bench drew, byte for byte: both read the records
-        # through bench.variant_grid
+        # through bench.variant_grids
         run_dir, plot_dir = tmp_path / "run", tmp_path / "plots"
         args = [
             "bench", str(small_csv), "--out", str(run_dir), "--select", "--tau-c", "0",

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -681,6 +682,26 @@ class TestClassifyBatchBound:
         x[::3, 2] = 0.0
         with np.errstate(over="ignore"):
             assert_matches_oracle(codebook, x)
+
+    def test_rows_whose_every_distance_overflows(self):
+        # values at +-2**1020 and 3*2**1018: a row far from every prototype has
+        # every S overflow; scaled by a power of two, its S are exact, so it takes
+        # the prototype of least exact distance (the lowest of a tie), and nothing warns
+        codebook = np.array([[0.0, 0.0], [2.0**1019, 0.0], [-2.0**1019, 3 * 2.0**1018]])
+        v = (2.0**1020, -(2.0**1020), 3 * 2.0**1018, -3 * 2.0**1018, 0.0)
+        x = np.array([(a, b) for a in v for b in v])
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(((x[:, None, :] - codebook) ** 2).sum(axis=2).min(axis=1))
+        assert overflows.sum() >= 10
+
+        def nearest(row):
+            s = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, w)) for w in codebook]
+            return s.index(min(s))
+
+        out = classify_batch(LVQModel(codebook, np.arange(3), LVQConfig()), x)
+        assert out.tolist() == [nearest(row) for row in x]
+        assert out[0] == 1  # (2**1020, 0): every S overflows, and argmin alone gives 0
+        assert set(out[overflows].tolist()) == {0, 1, 2}
 
     @pytest.mark.parametrize("scale", [2.0**-530, 2.0**-1060])
     def test_subnormal_values(self, scale):
