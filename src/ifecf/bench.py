@@ -34,13 +34,15 @@ _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1
 # they train in one call.
 BATCH_BYTES = 12 << 20
 # A batch of fewer cells trains cell by cell through ``lvq_train``, the same
-# kernel on one cell. Lockstep would not be slower at 2: a 2-cell
-# ``train_cells`` call took 0.51-0.54x the time of two 1-cell calls
-# (medians of 15, two runs; N 7-20, P 2-5, M 77-2000, one vCPU of a Xeon,
-# numpy 2.4.6). The value stays 3 because perfbench/tracer.py wraps
-# ``lvq_train`` and not ``train_cells``: at 2, the tiny tall input of
-# perfbench/smoke.py (one 2-cell batch) would train out of sight of its
-# "trace sees lvq.train" check. Lower it once ``train_cells`` has a span.
+# kernel on one cell, which trains a lone cell in speculated windows. So a
+# 2-cell ``train_cells`` call is not always faster than two 1-cell calls:
+# it took 1.23x their time on tall's cells (N 20, P 5, M 2000, alpha 0.1)
+# and 0.68-1.34x on pima-like cells (N 8, P 2, M 77-691, alpha 0.1-0.5),
+# medians of 15 on one pinned vCPU of a Xeon, numpy 2.4.6; before windows
+# it took 0.51-0.54x. perfbench/tracer.py also wraps ``lvq_train`` and not
+# ``train_cells``: at 2, the tiny tall input of perfbench/smoke.py (one
+# 2-cell batch) would train out of sight of its "trace sees lvq.train"
+# check.
 LOCKSTEP_MIN_CELLS = 3
 # timing_stability flags a cell whose slowest classify pass takes more than
 # this many times its fastest.

@@ -178,29 +178,43 @@ def placement(n: int, summed: int) -> np.ndarray:
     return cols
 
 
-# Visits whose rows and coefficients ``train_cells`` gathers at a time.
-CHUNK_VISITS = 32
+# Visits whose rows and coefficients ``train_cells`` gathers at a time, and
+# the most visits of a lone cell's window, its gather.
+CHUNK_VISITS, WINDOW_VISITS = 32, 64
+# The cost of a lone cell's window, in sequential visits: a fixed part and a
+# part per replay step. A window's gain is the visits it decided less its
+# cost. ``train_cells`` speculates while the moving average of the gains
+# (weight GAIN_DECAY on the past) is not negative; once it is, the cell
+# takes PROBE_WAIT sequential visits per visit of average loss before it
+# tries a window again, so trying costs about 1 / PROBE_WAIT of the time.
+WINDOW_COST, STEP_COST, GAIN_DECAY, PROBE_WAIT = 10.0, 0.4, 0.9, 100
 
 
 def lockstep_nbytes(models: list[LVQModel], datas: list[Dataset]) -> int:
     """Bytes of the arrays that ``train_cells(models, datas)`` allocates: the
     stacked rows and class keys when there are several cells, the visit
-    order (the largest cell's rows for each cell), and for each cell its
+    order (the largest cell's rows for each cell), for each cell its
     +-alpha table, chunk buffers, codebook, step buffers and winner mask at
-    the call's width, the widest of ``sum_widths``, and class count."""
-    cells, p, chunk = len(models), models[0].codebook.shape[0], CHUNK_VISITS
+    the call's width, the widest of ``sum_widths``, and class count, and a
+    lone cell's window arrays: its replay states, a buffer of replay
+    coefficients and then of check differences, and its index tables."""
+    cells, p = len(models), models[0].codebook.shape[0]
+    chunk = WINDOW_VISITS if cells == 1 else CHUNK_VISITS
     width = max(sum_widths([model.n_features for model in models]))
     classes = max(data.class_count for data in datas)
     sizes = [data.n_instances for data in datas]
     words = max(sizes) * cells + (sum(sizes) * (width + 1) if cells > 1 else 0)
     words += cells * (p * width * (classes + 2 * chunk + 4) + p * (chunk + 2) + chunk + 1)
+    if cells == 1:
+        words += p * width * (2 * chunk + 1) + p * (p + 2 * chunk + 1) + chunk
     return 8 * words + cells * p * width  # the winner mask holds bytes
 
 
 def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     """LVQ1 winner-take-all training of independent cells of one prototype
     count and epoch count, each under its ``model.config``, with one numpy
-    step per visit index. Each epoch visits a cell's rows in the order of
+    step per visit index, or for a lone cell per window of visits where
+    that pays. Each epoch visits a cell's rows in the order of
     the next ``permutation`` of ``np.random.default_rng(seed)``; the nearest
     prototype moves by alpha * (x - w), toward a row of its class and away
     from other rows.
@@ -219,6 +233,21 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     more for each distinct width from 128 on among the k cells. The trained
     codebooks are taken back from the layout in C order.
 
+    A lone cell gathers ``WINDOW_VISITS`` visits at a time (fewer at an
+    epoch's end, so no window crosses it) and may decide them in one
+    speculated window (``_window``): it guesses each visit's winner, replays
+    each prototype's guessed updates as a sequence of its own, one numpy
+    step for every prototype's j-th update, and gives each visit the states
+    it would see and the winner of the sequential sum over its n columns.
+    Up to the first visit f whose winner is not its guess, every visit saw
+    the sequential codebook, by induction, so its winner is the sequential
+    one, f's too: the cell keeps f + 1 visits, bit for bit, and the next
+    gather starts after f. A window costs about ``WINDOW_COST`` sequential
+    visits and ``STEP_COST`` more per replay step, so it gains the visits it
+    kept less that cost. The cell takes windows while the moving average of
+    their gains is not negative, and the sequential step otherwise, for
+    ``PROBE_WAIT`` visits per visit of average loss before it tries again.
+
     If cells go non-finite, the first in argument order raises ``LVQError``
     naming the epoch after which it did; training stops once all have.
     """
@@ -235,6 +264,7 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
     sums = np.array(sum_widths(widths))
     cols = [placement(n, s) for n, s in zip(widths, sums.tolist())]
     cells, width = len(order), int(sums.max())
+    chunk = WINDOW_VISITS if cells == 1 else CHUNK_VISITS
     class_count = max(data.class_count for data in datas)
     book = np.zeros((cells, p, width))
     table = np.empty((cells * class_count, p, width))  # row c * class_count + y: label y of cell c
@@ -254,10 +284,10 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
             np.add(datas[a].labels, c * class_count, out=keys[starts[c]:starts[c] + sizes[c]])
     visit = np.empty((sizes[0], cells), dtype=np.intp)  # visit t's row of each cell
     # chunk buffers, viewed for a run of k active cells as their first
-    # CHUNK_VISITS * k rows, and the step's buffers, as their first k entries
-    gathered, coefs = np.empty((2, CHUNK_VISITS * cells * p * width))
-    row_ids = np.empty(CHUNK_VISITS * cells * p, dtype=np.intp)
-    key_ids = np.empty(CHUNK_VISITS * cells, dtype=np.intp)
+    # chunk * k rows, and the step's buffers, as their first k entries
+    gathered, coefs = np.empty((2, chunk * cells * p * width))
+    row_ids = np.empty(chunk * cells * p, dtype=np.intp)
+    key_ids = np.empty(chunk * cells, dtype=np.intp)
     diff, sq, step = np.empty((3, cells, p, width))
     d2, part = np.empty((2, cells, p))
     win = np.empty(cells, dtype=np.intp)
@@ -276,27 +306,46 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
                          [(s, (sums[:k] == s)[:, None]) for s in summed[1:]]))
     subtract, multiply, add, reduce = np.subtract, np.multiply, np.add, np.add.reduce
     copyto, take, pick = np.copyto, np.take, winner.take
+    lone, no_tail, tried, gain, wait = cells == 1, np.empty(0, dtype=np.intp), 0, 0.0, 0.0
+    scratch = None
+    if lone:
+        seen = np.empty((chunk + 1, p), dtype=np.intp)
+        seen[0] = np.arange(p)
+        scratch = (np.empty((chunk + 1, p, width)), np.empty(chunk * p * width),
+                   np.eye(p, dtype=np.intp) * p, seen, np.zeros(chunk * p, dtype=np.intp),
+                   np.arange(chunk) * p)
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
     for epoch in range(epochs):
         for c in range(cells):
             add(rngs[c].permutation(sizes[c]), starts[c], out=visit[:sizes[c], c])
         for k, start, stop, widest, narrower in runs:
-            xs = gathered[:CHUNK_VISITS * k * p * width].reshape(CHUNK_VISITS, k, p, width)
-            gs = coefs[:CHUNK_VISITS * k * p * width].reshape(CHUNK_VISITS, k, p, width)
-            ids = row_ids[:CHUNK_VISITS * k * p].reshape(CHUNK_VISITS, k, p)
-            ks = key_ids[:CHUNK_VISITS * k].reshape(CHUNK_VISITS, k)
+            xs = gathered[:chunk * k * p * width].reshape(chunk, k, p, width)
+            gs = coefs[:chunk * k * p * width].reshape(chunk, k, p, width)
+            ids = row_ids[:chunk * k * p].reshape(chunk, k, p)
+            ks = key_ids[:chunk * k].reshape(chunk, k)
             group, dk, sk, uk, d2k, pk, wk, mk = (
                 buf[:k] for buf in (book, diff, sq, step, d2, part, win, mask))
             summed, argmin = sk[:, :, :widest], d2k.argmin
             partial = [(sk[:, :, :s], cut) for s, cut in narrower]
-            for t in range(start, stop, CHUNK_VISITS):
-                n = min(CHUNK_VISITS, stop - t)
+            t, tail = start, no_tail
+            while t < stop:
+                n = min(chunk, stop - t)
                 at = visit[t:t + n, :k]
                 copyto(ids[:n], at[:, :, None])
                 # every index is in range; "clip" lets take write into out unbuffered
                 take(rows, ids[:n], axis=0, out=xs[:n], mode="clip")
                 take(keys, at, out=ks[:n], mode="clip")
                 take(table, ks[:n], axis=0, out=gs[:n], mode="clip")
+                if lone and wait <= 0.0:
+                    kept, steps, tail = _window(group[0], xs[:, 0], gs[:, 0], n, tail, scratch)
+                    tried += 1
+                    gain += max(1 - GAIN_DECAY, 1 / tried) * (
+                        kept - WINDOW_COST - STEP_COST * steps - gain)
+                    wait = -PROBE_WAIT * gain
+                    t += kept
+                    continue
+                t, tail = t + n, no_tail
+                wait -= n
                 for x, sign in zip(xs[:n], gs[:n]):
                     subtract(x, group, out=dk)
                     multiply(dk, dk, out=sk)
@@ -323,6 +372,71 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
                          classes=models[a].classes.copy(),
                          epochs_run=models[a].epochs_run + epochs)
     return out
+
+
+def _window(book, xs, signs, n, tail, scratch):
+    """Train a lone cell's ``book`` (P, N) on up to n visits in one
+    speculated window, and return the visits it decided, the replay steps it
+    took and the guessed winners of the visits after them.
+
+    ``xs[:n]`` and ``signs[:n]`` hold each visit's row and +-alpha, repeated
+    over the prototypes, (n, P, N). Each visit's winner is guessed: ``tail``
+    for the first visits, and for the rest the least |w|² - 2·w·x against
+    ``book``. Given the guesses, each prototype's updates form a sequence of
+    their own, so step j applies every prototype's j-th update at once, into
+    ``states[j + 1]``; a prototype past its last update reads a stand-in
+    row, and no visit reads the state that gives. Each visit then gets the
+    state of every prototype after the updates guessed before it, and its
+    winner from the same subtract, square and row sum as a sequential step.
+    Up to the first visit f whose winner differs from its guess, every guess
+    is right: by induction each of those visits saw the sequential codebook,
+    so its winner, f's included, is the sequential one. The book takes the
+    states f saw and f's update, so f + 1 visits are decided. The work past
+    f is discarded; it may overflow where sequential training does not, so
+    only f's update may warn."""
+    states, spare, eye, seen, plan, flat = scratch
+    p, width = book.shape
+    x, rows, coefs = xs[:n], xs.reshape(-1, width), signs.reshape(-1, width)
+    flat_states = states.reshape(-1, width)
+    with np.errstate(all="ignore"):
+        guess = np.matmul(x[:, 0], book.T)
+        guess *= -2.0
+        # |w|², squared in states[0], which the replay writes only later
+        guess += np.add.reduce(np.multiply(book, book, out=states[0]), axis=1)
+        won = guess.argmin(axis=1)
+        won[:tail.size] = tail
+        at = won + flat[:n]  # the row of visit i's guessed winner in ``rows``
+        # seen[i, q] = P * (the updates of q guessed before visit i) + q, the
+        # row of ``flat_states`` that visit i reads; seen[n] ends each sequence
+        np.take(eye, won, axis=0, out=seen[1:n + 1], mode="clip")
+        np.add.accumulate(seen[:n + 1], axis=0, out=seen[:n + 1])
+        steps = int((seen[n] - seen[0]).max()) // p
+        plan[seen[:n].take(at)] = at  # the row of q's (j+1)-th update, at P * j + q
+        order = plan[:steps * p].reshape(steps, p)
+        coef = spare[:steps * p * width].reshape(steps, p, width)
+        np.take(coefs, order, axis=0, out=coef, mode="clip")
+        # each step's rows go where its states go, and each update is made there
+        np.take(rows, order, axis=0, out=states[1:steps + 1], mode="clip")
+        np.copyto(states[0], book)
+        for c, before, after in zip(coef, states, states[1:steps + 1]):
+            np.subtract(after, before, out=after)
+            np.multiply(after, c, out=after)
+            np.add(before, after, out=after)
+        diff = spare[:n * p * width].reshape(n, p, width)
+        np.take(flat_states, seen[:n], axis=0, out=diff, mode="clip")
+        np.subtract(x, diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        best = np.add.reduce(diff, axis=2).argmin(axis=1)
+    miss = best != won
+    f = int(miss.argmax())
+    f = f if miss[f] else n - 1
+    np.take(flat_states, seen[f], axis=0, out=book, mode="clip")
+    win = best[f]
+    row = book[win]
+    step = np.subtract(x[f, win], row)
+    step *= signs[f, win]
+    row += step
+    return f + 1, steps, best[f + 1:]
 
 
 # Elements of the (P, rows) score array in one classify_batch block, and of

@@ -332,6 +332,124 @@ class TestTrainCells:
             train_cells([model] * 3, [data, other, data])
 
 
+def window_log(monkeypatch) -> list:
+    """(visits decided, visits offered) of each window a lone cell trains."""
+    log, window = [], lvq._window
+
+    def recording(book, xs, signs, n, tail, scratch):
+        out = window(book, xs, signs, n, tail, scratch)
+        log.append((out[0], n))
+        return out
+
+    monkeypatch.setattr(lvq, "_window", recording)
+    return log
+
+
+def assert_lone_matches(model, data, oracle=True):
+    """``train`` on the cell alone, in windows, gives the bytes of the
+    lockstep kernel on it and a copy of it, and of ``lvq1_oracle``."""
+    lone = train(model, data).codebook
+    for out in train_cells([model, model], [data, data]):
+        assert out.codebook.tobytes() == lone.tobytes()
+    if oracle:
+        cfg = model.config
+        expected = lvq1_oracle(model.codebook.tolist(), model.classes.tolist(),
+                               data.features.tolist(), data.labels.tolist(),
+                               cfg.alpha, cfg.epochs, cfg.seed)
+        assert lone.tolist() == expected
+    return lone
+
+
+def pima_like_cell(seed, alpha, m=400, epochs=10):
+    """Two overlapping classes of non-negative rows (N 8), 35% in class 1."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(m) < 0.35).astype(np.int64)
+    data = make_dataset(np.abs(rng.normal(size=(m, 8)) + 0.6 * labels[:, None]), labels)
+    return init_codebook(data, LVQConfig(alpha=alpha, epochs=epochs, seed=3)), data
+
+
+class TestLoneWindows:
+    @pytest.mark.parametrize("n", [1, 7, 8, 20, 127, 128, 135])
+    @pytest.mark.parametrize("alpha, ppc, k", [(0.05, 1, 2), (0.3, 2, 3), (0.5, 3, 5),
+                                               (0.9, 1, 4)])
+    def test_matches_oracle_and_lockstep(self, monkeypatch, n, alpha, ppc, k):
+        log = window_log(monkeypatch)
+        model, data = lockstep_cell(7 * n + k, n, 60, k=k, ppc=ppc, alpha=alpha, epochs=3)
+        assert_lone_matches(model, data)
+        assert log
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 65, 100, 2000])
+    def test_windows_end_at_epoch_end(self, monkeypatch, m):
+        # a window never crosses an epoch end: the last ones offer fewer
+        # visits than CHUNK_VISITS when M is not a multiple of it
+        log = window_log(monkeypatch)
+        labels = np.arange(m) % 3
+        x = 5.0 * np.eye(3)[labels] + np.random.default_rng(m).normal(scale=0.3, size=(m, 3))
+        data = make_dataset(x, labels, class_names=("a", "b", "c"))
+        model = init_codebook(data, LVQConfig(alpha=0.2, epochs=3, seed=m))
+        assert_lone_matches(model, data)
+        assert all(1 <= kept <= offered <= min(m, lvq.WINDOW_VISITS) for kept, offered in log)
+        if m % lvq.WINDOW_VISITS:
+            assert any(offered < lvq.WINDOW_VISITS for _, offered in log)
+
+    def test_near_ties(self):
+        # the lone sums give the bits of train's, next to a 20-wide cell too
+        for cell in (tie_cell(5, (2, 3)), tie_cell(13, (10, 11)), tie_cell(20, (16, 17))):
+            lone = assert_lone_matches(*cell, oracle=False)
+            wide = lockstep_cell(65, 20, 30, k=2)
+            out = train_cells([cell[0], wide[0]], [cell[1], wide[1]])[0]
+            assert out.codebook.tobytes() == lone.tobytes()
+
+    def test_negative_zero_survives(self, monkeypatch):
+        # prototype 2 never wins: every bit of its -0.0 stays, as in lockstep
+        log = window_log(monkeypatch)
+        rng = np.random.default_rng(5)
+        labels = np.arange(200) % 2
+        x = rng.normal(size=(200, 3)) + 10.0 * (2 * labels[:, None] - 1)
+        book = np.array([[10.0, 10.0, 10.0], [-10.0, -10.0, -10.0], [-0.0, 0.0, -0.0]])
+        model = LVQModel(book, np.array([1, 0, 1]), LVQConfig(alpha=0.3, epochs=3, seed=2))
+        lone = assert_lone_matches(model, make_dataset(x, labels))
+        assert np.signbit(lone[2]).tolist() == [True, False, True]
+        assert log
+
+    def test_keep_all_and_first_miss(self, monkeypatch):
+        # a tall-like cell (5 classes, N 20) at alpha 0.1 keeps whole windows;
+        # a pima-like cell at alpha 0.5 stops at first misses
+        log = window_log(monkeypatch)
+        assert_lone_matches(*lockstep_cell(1, 20, 2000, k=5, alpha=0.1, epochs=5), oracle=False)
+        assert sum(kept == offered == lvq.WINDOW_VISITS for kept, offered in log) > 50
+        log.clear()
+        assert_lone_matches(*pima_like_cell(2, alpha=0.5), oracle=False)
+        assert any(kept < offered for kept, offered in log)
+
+    def test_losing_windows_fall_back_to_steps(self, monkeypatch):
+        # this pima-like cell at alpha 0.1 decides few visits per window, so
+        # after a few windows it takes sequential steps
+        log = window_log(monkeypatch)
+        model, data = pima_like_cell(1, alpha=0.1)
+        assert_lone_matches(model, data, oracle=False)
+        assert 0 < sum(kept for kept, _ in log) < data.n_instances * model.config.epochs // 10
+
+    def test_speculation_past_a_miss_does_not_warn(self, monkeypatch):
+        # rows of class 1 at -2**500, prototype 0 (class 0) at 0 and
+        # prototype 1 (class 1) at 10 * 2**500: sequentially prototype 0 is
+        # pushed off four times, then prototype 1 wins and is pulled in, and
+        # nothing overflows. The first window guesses prototype 0 for every
+        # visit, and its replay pushes it off 1.9x per visit until its
+        # squared distances overflow, past the first miss at visit 4: that
+        # work is discarded and must not warn (pyproject turns
+        # RuntimeWarnings into errors)
+        log = window_log(monkeypatch)
+        scale = 2.0**500
+        x = scale * (np.random.default_rng(4).normal(scale=0.01, size=(100, 1)) - 1.0)
+        data = make_dataset(x, np.ones(100, dtype=np.int64), class_names=("0", "1"))
+        book = np.array([[0.0], [10.0 * scale]])
+        model = LVQModel(book, np.array([0, 1]), LVQConfig(alpha=0.9, epochs=2, seed=1))
+        lone = assert_lone_matches(model, data, oracle=False)
+        assert log[0] == (5, lvq.WINDOW_VISITS)
+        assert np.isfinite(lone).all()
+
+
 class TestSumWidth:
     def test_padded_sums_keep_the_bits(self):
         # the rule train_cells sums by, on the installed numpy: a row of n
