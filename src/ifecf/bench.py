@@ -27,8 +27,8 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 _EVAL_PARTITIONS = {"test": ((1,), (0,)), "train": ((0,), (1,)), "whole": ((0, 1), ())}
 
 # run_sweep trains the cells it has prepared once their partitions and the
-# arrays of their ``train_cells`` call (``lvq.lockstep_nbytes``) hold this
-# many bytes, so its memory stays bounded as M grows. The 90 cells of the
+# arrays of their training calls (``lvq.lockstep_nbytes``) hold this many
+# bytes, so its memory stays bounded as M grows. The 90 cells of the
 # default --select grid on the 768x8 test fixture hold 9.29 MiB (3.09 MiB of
 # partitions, 6.21 MiB of lockstep arrays at the summed width of 15), so
 # they train in one call.
@@ -36,10 +36,11 @@ BATCH_BYTES = 12 << 20
 # A batch of fewer cells trains cell by cell through ``lvq_train``, the same
 # kernel on one cell, which trains a lone cell in speculated windows. So a
 # 2-cell ``train_cells`` call is not always faster than two 1-cell calls:
-# it took 1.23x their time on tall's cells (N 20, P 5, M 2000, alpha 0.1)
-# and 0.68-1.34x on pima-like cells (N 8, P 2, M 77-691, alpha 0.1-0.5),
-# medians of 15 on one pinned vCPU of a Xeon, numpy 2.4.6; before windows
-# it took 0.51-0.54x. perfbench/tracer.py also wraps ``lvq_train`` and not
+# on a cell's original and reduced variants it took 1.33-1.75x their time
+# on tall's (N 20 and 16-18, P 5, M 2000, alpha 0.1, seeds 3 and 7) and
+# 0.51-1.09x on pima-like ones (N 8 and 3-7, P 2, M 77-691, alpha 0.1 and
+# 0.5, seeds 1 and 3), medians of 15 in each of two passes on one pinned
+# vCPU of a Xeon, numpy 2.4.6; before windows it took 0.51-0.54x. perfbench/tracer.py also wraps ``lvq_train`` and not
 # ``train_cells``: at 2, the tiny tall input of perfbench/smoke.py (one
 # 2-cell batch) would train out of sight of its "trace sees lvq.train"
 # check.
@@ -280,8 +281,11 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     equals normalizing the projected ones.
 
     Cells are prepared in grid order. A batch closes once its partitions
-    and the arrays of its ``lvq.train_cells`` call (``lvq.lockstep_nbytes``)
-    reach ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it. The
+    and the arrays of its training (``lvq.lockstep_nbytes``) reach
+    ``BATCH_BYTES``, and ``_run_batch`` trains and evaluates it. Below
+    ``LOCKSTEP_MIN_CELLS`` cells those arrays are the largest of the cells'
+    lone calls, which run one after another; from there on, they are the
+    one ``lvq.train_cells`` call's. The
     report's records are the dicts that ``report.json`` stores, in grid
     order (fraction-major, each cell's original before its reduced
     variant), as ``variant_grids`` reads them. A reduced variant that keeps
@@ -293,6 +297,7 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     """
     records: list[dict] = []
     batch: list[_Cell] = []
+    held = lone = 0  # the batch's partition bytes, and its largest lone call's arrays
     for fi in range(len(cfg.fractions)):
         for ai in range(len(cfg.alphas)):
             try:
@@ -304,11 +309,13 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
                 raise
             for cell in cells:
                 batch.append(cell)
-                held = sum(part.features.nbytes for c in batch for part in c.parts)
-                if held + lockstep_nbytes([c.model for c in batch],
-                                          [c.parts[0] for c in batch]) >= BATCH_BYTES:
+                held += sum(part.features.nbytes for part in cell.parts)
+                lone = max(lone, lockstep_nbytes([cell.model], [cell.parts[0]]))
+                arrays = lone if len(batch) < LOCKSTEP_MIN_CELLS else lockstep_nbytes(
+                    [c.model for c in batch], [c.parts[0] for c in batch])
+                if held + arrays >= BATCH_BYTES:
                     records.extend(_run_batch(batch, cfg))
-                    batch = []
+                    batch, held, lone = [], 0, 0
     records.extend(_run_batch(batch, cfg))
     # platform.platform() would start a ``uname -p`` process; these read os.uname()
     env = (f"{platform.system()}-{platform.release()}-{platform.machine()}"

@@ -187,7 +187,13 @@ CHUNK_VISITS, WINDOW_VISITS = 32, 64
 # (weight GAIN_DECAY on the past) is not negative; once it is, the cell
 # takes PROBE_WAIT sequential visits per visit of average loss before it
 # tries a window again, so trying costs about 1 / PROBE_WAIT of the time.
-WINDOW_COST, STEP_COST, GAIN_DECAY, PROBE_WAIT = 10.0, 0.4, 0.9, 100
+# The costs are fitted: each window's time, its gather included, as
+# a + b * steps, in units of the cell's time per sequential visit (3.5-4.6
+# µs). On tall-like (P 5, N 20, M 2000) and pima-like (P 2, N 8, M 154-691)
+# cells at alpha 0.1-0.5, a was 8-13 visits and b 0.26-0.44 (about 0.4 at
+# P 5, 0.27 at P 2); their medians over the cells were 10.8-11.1 and
+# 0.31-0.34 in two passes, on one pinned vCPU of a Xeon, numpy 2.4.6.
+WINDOW_COST, STEP_COST, GAIN_DECAY, PROBE_WAIT = 11.0, 0.33, 0.9, 100
 
 
 def lockstep_nbytes(models: list[LVQModel], datas: list[Dataset]) -> int:
@@ -305,19 +311,22 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
             runs.append((k, ends[k], ends[k - 1], summed[0],
                          [(s, (sums[:k] == s)[:, None]) for s in summed[1:]]))
     subtract, multiply, add, reduce = np.subtract, np.multiply, np.add, np.add.reduce
-    copyto, take, pick = np.copyto, np.take, winner.take
+    copyto, pick = np.copyto, winner.take
     lone, no_tail, tried, gain, wait = cells == 1, np.empty(0, dtype=np.intp), 0, 0.0, 0.0
-    scratch = None
-    if lone:
+    if lone:  # its one run's chunk buffers are (chunk, P, N)
+        lone_args = (book[0], gathered.reshape(chunk, p, width), coefs.reshape(chunk, p, width))
         seen = np.empty((chunk + 1, p), dtype=np.intp)
         seen[0] = np.arange(p)
-        scratch = (np.empty((chunk + 1, p, width)), np.empty(chunk * p * width),
-                   np.eye(p, dtype=np.intp) * p, seen, np.zeros(chunk * p, dtype=np.intp),
+        states, spare = np.empty((chunk + 1, p, width)), np.empty((chunk, p, width))
+        plan = np.zeros(chunk * p, dtype=np.intp)
+        scratch = (states, list(states), spare, list(spare), states.reshape(-1, width),
+                   gathered.reshape(-1, width), coefs.reshape(-1, width),
+                   np.eye(p, dtype=np.intp) * p, seen, plan, plan.reshape(chunk, p),
                    np.arange(chunk) * p)
     failed: dict[int, int] = {}  # argument index -> first epoch after which it was non-finite
     for epoch in range(epochs):
         for c in range(cells):
-            add(rngs[c].permutation(sizes[c]), starts[c], out=visit[:sizes[c], c])
+            add(rngs[c].permutation(sizes[c]), starts[c], visit[:sizes[c], c])
         for k, start, stop, widest, narrower in runs:
             xs = gathered[:chunk * k * p * width].reshape(chunk, k, p, width)
             gs = coefs[:chunk * k * p * width].reshape(chunk, k, p, width)
@@ -333,11 +342,11 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
                 at = visit[t:t + n, :k]
                 copyto(ids[:n], at[:, :, None])
                 # every index is in range; "clip" lets take write into out unbuffered
-                take(rows, ids[:n], axis=0, out=xs[:n], mode="clip")
-                take(keys, at, out=ks[:n], mode="clip")
-                take(table, ks[:n], axis=0, out=gs[:n], mode="clip")
+                rows.take(ids[:n], 0, xs[:n], "clip")
+                keys.take(at, 0, ks[:n], "clip")
+                table.take(ks[:n], 0, gs[:n], "clip")
                 if lone and wait <= 0.0:
-                    kept, steps, tail = _window(group[0], xs[:, 0], gs[:, 0], n, tail, scratch)
+                    kept, steps, tail = _window(*lone_args, n, tail, scratch)
                     tried += 1
                     gain += max(1 - GAIN_DECAY, 1 / tried) * (
                         kept - WINDOW_COST - STEP_COST * steps - gain)
@@ -347,18 +356,18 @@ def train_cells(models: list[LVQModel], datas: list[Dataset]) -> list[LVQModel]:
                 t, tail = t + n, no_tail
                 wait -= n
                 for x, sign in zip(xs[:n], gs[:n]):
-                    subtract(x, group, out=dk)
-                    multiply(dk, dk, out=sk)
-                    reduce(summed, axis=2, out=d2k)
+                    subtract(x, group, dk)
+                    multiply(dk, dk, sk)
+                    reduce(summed, 2, None, d2k)
                     for columns, cut in partial:
-                        reduce(columns, axis=2, out=pk)
-                        copyto(d2k, pk, where=cut)
-                    argmin(axis=1, out=wk)
-                    pick(wk, axis=0, out=mk, mode="clip")
-                    multiply(sign, dk, out=uk)
-                    add(group, uk, out=uk)
+                        reduce(columns, 2, None, pk)
+                        copyto(d2k, pk, "same_kind", cut)
+                    argmin(1, wk)
+                    pick(wk, 0, mk, "clip")
+                    multiply(sign, dk, uk)
+                    add(group, uk, uk)
                     # only each cell's winner moves; the other prototypes keep their bits
-                    copyto(group, uk, where=mk)
+                    copyto(group, uk, "same_kind", mk)
         for c in np.flatnonzero(~np.isfinite(book).all(axis=(1, 2))).tolist():
             failed.setdefault(order[c], epoch + 1)
             book[c] = 0.0  # keeps a failed cell finite and quiet; its result is dropped
@@ -393,49 +402,52 @@ def _window(book, xs, signs, n, tail, scratch):
     so its winner, f's included, is the sequential one. The book takes the
     states f saw and f's update, so f + 1 visits are decided. The work past
     f is discarded; it may overflow where sequential training does not, so
-    only f's update may warn."""
-    states, spare, eye, seen, plan, flat = scratch
-    p, width = book.shape
-    x, rows, coefs = xs[:n], xs.reshape(-1, width), signs.reshape(-1, width)
-    flat_states = states.reshape(-1, width)
+    only f's update may warn.
+
+    ``scratch`` holds the call's window buffers and their views, made once
+    per ``train_cells`` call, so that each replay step's three numpy calls
+    read views from lists and write their outputs in place."""
+    (states, state_views, spare, spare_views, flat_states, rows, coefs, eye, seen, plan, order,
+     flat) = scratch
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    p = book.shape[0]
+    x = xs[:n]
     with np.errstate(all="ignore"):
         guess = np.matmul(x[:, 0], book.T)
         guess *= -2.0
         # |w|², squared in states[0], which the replay writes only later
-        guess += np.add.reduce(np.multiply(book, book, out=states[0]), axis=1)
-        won = guess.argmin(axis=1)
+        guess += add.reduce(multiply(book, book, state_views[0]), 1)
+        won = guess.argmin(1)
         won[:tail.size] = tail
         at = won + flat[:n]  # the row of visit i's guessed winner in ``rows``
         # seen[i, q] = P * (the updates of q guessed before visit i) + q, the
         # row of ``flat_states`` that visit i reads; seen[n] ends each sequence
-        np.take(eye, won, axis=0, out=seen[1:n + 1], mode="clip")
-        np.add.accumulate(seen[:n + 1], axis=0, out=seen[:n + 1])
-        steps = int((seen[n] - seen[0]).max()) // p
+        eye.take(won, 0, seen[1:n + 1], "clip")
+        add.accumulate(seen[:n + 1], 0, None, seen[:n + 1])
+        steps = int(seen[n].max()) // p  # as q < P, the most updates of a prototype
         plan[seen[:n].take(at)] = at  # the row of q's (j+1)-th update, at P * j + q
-        order = plan[:steps * p].reshape(steps, p)
-        coef = spare[:steps * p * width].reshape(steps, p, width)
-        np.take(coefs, order, axis=0, out=coef, mode="clip")
+        coefs.take(order[:steps], 0, spare[:steps], "clip")
         # each step's rows go where its states go, and each update is made there
-        np.take(rows, order, axis=0, out=states[1:steps + 1], mode="clip")
-        np.copyto(states[0], book)
-        for c, before, after in zip(coef, states, states[1:steps + 1]):
-            np.subtract(after, before, out=after)
-            np.multiply(after, c, out=after)
-            np.add(before, after, out=after)
-        diff = spare[:n * p * width].reshape(n, p, width)
-        np.take(flat_states, seen[:n], axis=0, out=diff, mode="clip")
-        np.subtract(x, diff, out=diff)
-        np.multiply(diff, diff, out=diff)
-        best = np.add.reduce(diff, axis=2).argmin(axis=1)
+        rows.take(order[:steps], 0, states[1:steps + 1], "clip")
+        np.copyto(state_views[0], book)
+        for after, before, c in zip(state_views[1:steps + 1], state_views, spare_views):
+            subtract(after, before, after)
+            multiply(after, c, after)
+            add(before, after, after)
+        diff = spare[:n]
+        flat_states.take(seen[:n], 0, diff, "clip")
+        subtract(x, diff, diff)
+        multiply(diff, diff, diff)
+        best = add.reduce(diff, 2).argmin(1)
     miss = best != won
     f = int(miss.argmax())
     f = f if miss[f] else n - 1
-    np.take(flat_states, seen[f], axis=0, out=book, mode="clip")
+    flat_states.take(seen[f], 0, book, "clip")
     win = best[f]
     row = book[win]
-    step = np.subtract(x[f, win], row)
-    step *= signs[f, win]
-    row += step
+    update = subtract(x[f, win], row)
+    multiply(update, signs[f, win], update)
+    add(row, update, row)
     return f + 1, steps, best[f + 1:]
 
 

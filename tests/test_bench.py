@@ -197,6 +197,36 @@ class TestRunSweep:
         once = run_sweep(d, small_sweep(repeats=1, selection=selection))
         assert accuracy_fields(report) == accuracy_fields(once)
 
+    def test_small_batch_counts_its_largest_lone_call(self, monkeypatch):
+        # below LOCKSTEP_MIN_CELLS cells a batch trains one cell at a time, so
+        # its arrays are its largest lone call's. For these small cells that
+        # is more than a 2-cell train_cells call (a lone call's buffers hold
+        # 64 visits, a 2-cell call's 32): the batch of the first two cells
+        # closes at 2 exactly when their partitions and largest lone call
+        # reach BATCH_BYTES
+        d = random_dataset(np.random.default_rng(13), m=60, n=4)
+        cfg = small_sweep(selection=SelectionConfig(tau_c=0.2))
+        first = [c for ai in range(2) for c in bench._prepare(d, cfg, 0, ai)][:2]
+        models, datas = [c.model for c in first], [c.parts[0] for c in first]
+        lone = max(lockstep_nbytes([m], [x]) for m, x in zip(models, datas))
+        assert lockstep_nbytes(models, datas) < lone
+        held = sum(part.features.nbytes for c in first for part in c.parts)
+        sizes, run_batch = [], bench._run_batch
+
+        def recording(batch, cfg):
+            sizes.append(len(batch))
+            return run_batch(batch, cfg)
+
+        monkeypatch.setattr(bench, "_run_batch", recording)
+        reports = []
+        for room, closes in ((0, 2), (1, bench.LOCKSTEP_MIN_CELLS)):
+            sizes.clear()
+            monkeypatch.setattr(bench, "BATCH_BYTES", held + lone + room)
+            reports.append(run_sweep(d, cfg))
+            assert sizes[0] >= closes if room else sizes[0] == closes
+            assert sum(sizes) == 7  # the third reduced cell is its original's twin
+        assert accuracy_fields(reports[0]) == accuracy_fields(reports[1])
+
     def test_default_select_grid_trains_in_one_call(self, monkeypatch, pima_dataset):
         # the 90 cells of the default grid on 768x8 fit one batch: each is
         # charged its own train partition, and the visit order the largest

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -448,6 +450,37 @@ class TestLoneWindows:
         lone = assert_lone_matches(model, data, oracle=False)
         assert log[0] == (5, lvq.WINDOW_VISITS)
         assert np.isfinite(lone).all()
+
+
+def test_lone_cells_train_apart_in_threads():
+    # four threads, each training a different lone cell, tall-like and
+    # pima-like at alpha 0.1 and 0.5, get the bytes of a single thread: each
+    # call's window views and buffers are its own. A short switch interval
+    # interleaves the threads between numpy calls
+    cells = [lockstep_cell(1, 20, 2000, k=5, alpha=0.1, epochs=3),
+             lockstep_cell(2, 20, 2000, k=5, alpha=0.5, epochs=3),
+             pima_like_cell(1, alpha=0.1), pima_like_cell(2, alpha=0.5)]
+    want = [train(*cell).codebook.tobytes() for cell in cells]
+    start, got = threading.Barrier(len(cells), timeout=60), []
+
+    def run(i):
+        start.wait()
+        got.append((i, train(*cells[i]).codebook.tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cells))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 3 * len(cells)
+    assert all(out == want[i] for i, out in got)
 
 
 class TestSumWidth:
