@@ -245,11 +245,14 @@ def _prepare(d: Dataset, cfg: SweepConfig, fi: int, ai: int) -> list[_Cell]:
     fraction, alpha = cfg.fractions[fi], cfg.alphas[ai]
     seed = cell_seed(cfg.seed, fi, ai)
     try:
-        parts = split(d, fraction, seed)
+        rows = split(d, fraction, seed)
+        parts = (d.take(rows[0]),)  # raw train rows, for the filter and the normalizer
         sel = None if cfg.selection is None else ife_cf(parts[0], cfg.selection)
         if cfg.normalize:
             norm = fit_normalizer(parts[0])
-            parts = tuple(apply_normalizer(p, norm) for p in parts)
+            parts = tuple(apply_normalizer(d, norm, r) for r in rows)
+        else:
+            parts += (d.take(rows[1]),)
     except SelectionError as exc:
         raise BenchError(f"cell ({fraction}, {alpha}, reduced): selection failed: {exc}") from exc
     except DataError as exc:
@@ -275,8 +278,9 @@ def run_sweep(d: Dataset, cfg: SweepConfig) -> SweepReport:
     """Evaluate every (fraction, alpha) cell for the original dataset and,
     when a selection config is present, the reduced variant.
 
-    Both variants of a cell share one stratified split and one normalizer
-    fitted on its train partition. Selection runs on the raw train partition;
+    Both variants of a cell share one stratified split, as row indices, and
+    one normalizer fitted on its train partition, which gathers each
+    partition into the array it maps. Selection runs on the raw train rows;
     min-max scaling is per column, so projecting the normalized partitions
     equals normalizing the projected ones.
 

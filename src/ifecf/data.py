@@ -493,9 +493,10 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(d: Dataset, fraction: float, seed: int = 42) -> tuple[Dataset, Dataset]:
-    """Deterministic seeded, stratified train/test partition with a share
-    ``fraction`` in (0, 1) of the rows in train.
+def split(d: Dataset, fraction: float, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted train and test row indices of a deterministic seeded,
+    stratified partition of ``d`` with a share ``fraction`` in (0, 1) of the
+    rows in train; ``d.take`` or ``apply_normalizer`` gathers them.
 
     Shuffles within each class and allocates train counts by largest
     remainder so per-class proportions hold within rounding.
@@ -515,11 +516,8 @@ def split(d: Dataset, fraction: float, seed: int = 42) -> tuple[Dataset, Dataset
     counts = [int(math.floor(t)) for t in targets]
     # clamp so each partition keeps at least one instance per class
     counts = [min(max(c, 1), r.size - 1) for c, r in zip(counts, class_rows)]
-    remainders = sorted(
-        range(len(class_rows)),
-        key=lambda i: (targets[i] - math.floor(targets[i])),
-        reverse=True,
-    )
+    remainders = sorted(range(len(class_rows)), key=lambda i: targets[i] - math.floor(targets[i]),
+                        reverse=True)
     deficit = n_train - sum(counts)
     for i in remainders if deficit > 0 else reversed(remainders):
         if deficit == 0:
@@ -532,14 +530,10 @@ def split(d: Dataset, fraction: float, seed: int = 42) -> tuple[Dataset, Dataset
             deficit += 1
     if deficit != 0:
         raise DataError("stratified split impossible at this fraction")
-    train_parts, test_parts = [], []
+    train = np.zeros(m, dtype=bool)
     for rows, c in zip(class_rows, counts):
-        order = rows[rng.permutation(rows.size)]
-        train_parts.append(order[:c])
-        test_parts.append(order[c:])
-    train_idx = np.concatenate(train_parts)
-    test_idx = np.concatenate(test_parts)
-    return d.take(np.sort(train_idx)), d.take(np.sort(test_idx))
+        train[rows[rng.permutation(rows.size)[:c]]] = True
+    return np.flatnonzero(train), np.flatnonzero(~train)
 
 
 def fit_normalizer(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -547,9 +541,11 @@ def fit_normalizer(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return train.features.min(axis=0), train.features.max(axis=0)
 
 
-def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset:
-    """Affine per-feature map by the train (mins, maxs) of ``fit_normalizer``;
-    constant features go to 0.5.
+def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray],
+                     rows: np.ndarray) -> Dataset:
+    """Rows ``rows`` of ``d`` (a partition of ``split``, say), gathered into
+    one array and mapped in place per feature by the affine map of the train
+    (mins, maxs) of ``fit_normalizer``; constant features go to 0.5.
 
     Test values may land outside [0,1]; no clipping. A column whose range,
     or the distance of one of its values from its min, passes the float64
@@ -565,22 +561,22 @@ def apply_normalizer(d: Dataset, norm: tuple[np.ndarray, np.ndarray]) -> Dataset
     with np.errstate(over="ignore"):
         span = maxs - mins
     const, wide = span == 0, np.isinf(span)
-    out = np.empty_like(d.features)
+    out = d.features[rows]
     try:  # the overflow flag finds a far value without a pass of its own
         with np.errstate(over="raise"):
-            np.subtract(d.features, mins, out=out)
+            np.subtract(out, mins, out=out)
     except FloatingPointError:  # raised once ``out`` is written
         wide |= np.isinf(out).any(axis=0)
     scaled = ~(const | wide)
     try:
-        with np.errstate(over="raise"):
-            np.divide(out, span, out=out, where=scaled)
+        with np.errstate(over="raise"):  # a mask slows the divide: none when every column scales
+            np.divide(out, span, out=out, where=True if scaled.all() else scaled)
     except FloatingPointError:  # raised once ``out`` is written
         far = [d.feature_names[j] for j in np.flatnonzero(scaled & np.isinf(out).any(axis=0))]
         raise DataError(f"column {', '.join(map(repr, far))}: a value normalizes past the "
                         "float64 maximum; it lies too far outside the train range") from None
     if wide.any():
         lo, hi = mins[wide] / 2, maxs[wide] / 2
-        out[:, wide] = (d.features[:, wide] / 2 - lo) / (hi - lo)
+        out[:, wide] = (d.features[np.ix_(rows, wide)] / 2 - lo) / (hi - lo)
     out[:, const] = 0.5
-    return Dataset(out, d.labels, d.feature_names, d.class_names)
+    return Dataset(out, d.labels[rows], d.feature_names, d.class_names)

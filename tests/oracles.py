@@ -5,8 +5,11 @@ the library code they check. The exceptions are bit-exact references:
 the blocked ``lvq.classify_batch`` must equal the whole-array numpy formula
 ``classify_batch_unblocked``, ``select.relief`` the plain per-pick numpy
 scan ``relief_exact``, ``select.cfs_search`` the one-child-at-a-time
-search ``cfs_trace_oracle``, and multi-class ``c_correlation`` its scores
-on the ``np.quantile`` cuts of ``cut_points_oracle``, bit for bit.
+search ``cfs_trace_oracle``, multi-class ``c_correlation`` its scores
+on the ``np.quantile`` cuts of ``cut_points_oracle``, and ``data.split``
+and ``data.apply_normalizer`` the per-class row lists of
+``split_rows_oracle`` and the ``Dataset.take`` copy of
+``normalize_rows_oracle``, bit for bit.
 """
 
 import csv
@@ -283,3 +286,75 @@ def unit_columns_oracle(features):
     np.divide(scaled, norms, out=scaled, where=ok)
     scaled[:, ~ok] = 0.0
     return scaled, ok
+
+
+# Bit-exact references for data.split and data.apply_normalizer: a split as
+# per-class lists of train and test rows, concatenated and sorted, and the
+# normalizer as a row subset of its own (``Dataset.take``) mapped into a
+# second array.
+def split_rows_oracle(d, fraction, seed):
+    """The sorted train and test rows of a valid stratified split: each
+    class's rows in the order of one ``permutation`` call per class on one
+    ``np.random.default_rng(seed)``, the first of them in train as many as
+    the largest remainder allocation gives the class."""
+    m = d.n_instances
+    n_train = int(math.floor(fraction * m + 0.5))
+    rng = np.random.default_rng(seed)
+    class_rows = [np.flatnonzero(d.labels == c) for c in range(d.class_count)]
+    class_rows = [r for r in class_rows if r.size > 0]
+    targets = [fraction * r.size for r in class_rows]
+    counts = [min(max(int(math.floor(t)), 1), r.size - 1) for t, r in zip(targets, class_rows)]
+    remainders = sorted(range(len(class_rows)), key=lambda i: targets[i] - math.floor(targets[i]),
+                        reverse=True)
+    deficit = n_train - sum(counts)
+    for i in remainders if deficit > 0 else reversed(remainders):
+        if deficit == 0:
+            break
+        if deficit > 0 and counts[i] < class_rows[i].size - 1:
+            counts[i] += 1
+            deficit -= 1
+        elif deficit < 0 and counts[i] > 1:
+            counts[i] -= 1
+            deficit += 1
+    assert deficit == 0, "no stratified split at this fraction"
+    train_parts, test_parts = [], []
+    for rows, c in zip(class_rows, counts):
+        order = rows[rng.permutation(rows.size)]
+        train_parts.append(order[:c])
+        test_parts.append(order[c:])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
+
+
+def normalize_rows_oracle(d, norm, rows):
+    """Rows ``rows`` of ``d`` min-max normalized by ``norm``, computed into
+    a new array from a Dataset of those rows: constant columns 0.5, columns
+    whose range or offset from the min overflows computed at half scale, and
+    a value that normalizes past the float64 maximum a ``DataError``."""
+    from ifecf.data import DataError, Dataset
+
+    d = d.take(rows)
+    mins, maxs = norm
+    if mins.shape[0] != d.n_features:
+        raise DataError(f"normalizer fitted on N={mins.shape[0]}, dataset has N={d.n_features}")
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    const, wide = span == 0, np.isinf(span)
+    out = np.empty_like(d.features)
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(d.features, mins, out=out)
+    except FloatingPointError:
+        wide |= np.isinf(out).any(axis=0)
+    scaled = ~(const | wide)
+    try:
+        with np.errstate(over="raise"):
+            np.divide(out, span, out=out, where=scaled)
+    except FloatingPointError:
+        far = [d.feature_names[j] for j in np.flatnonzero(scaled & np.isinf(out).any(axis=0))]
+        raise DataError(f"column {', '.join(map(repr, far))}: a value normalizes past the "
+                        "float64 maximum; it lies too far outside the train range") from None
+    if wide.any():
+        lo, hi = mins[wide] / 2, maxs[wide] / 2
+        out[:, wide] = (d.features[:, wide] / 2 - lo) / (hi - lo)
+    out[:, const] = 0.5
+    return Dataset(out, d.labels, d.feature_names, d.class_names)

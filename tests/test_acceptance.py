@@ -128,7 +128,7 @@ def test_lvq_separable_gaussians_and_update_factors():
         labels = rng.integers(0, 2, m)
         x = rng.normal(scale=0.1, size=(m, 2)) + labels[:, None]
         d = make_dataset(x, labels)
-        tr, te = split(d, 0.7, seed=seed)
+        tr, te = map(d.take, split(d, 0.7, seed=seed))
         cfg = LVQConfig(alpha=0.1, epochs=10, seed=seed)
         model = lvq_train(init_codebook(tr, cfg), tr)
         if evaluate(model, te) / te.n_instances >= 0.95:
@@ -168,9 +168,9 @@ def test_pima_end_to_end_beats_majority():
     majority_rate = 500 / 768
     wins = 0
     for seed in range(100):
-        tr, te = split(d, 0.7, seed=seed)
-        norm = fit_normalizer(tr)
-        trn, ten = apply_normalizer(tr, norm), apply_normalizer(te, norm)
+        rows = split(d, 0.7, seed=seed)
+        norm = fit_normalizer(d.take(rows[0]))
+        trn, ten = (apply_normalizer(d, norm, r) for r in rows)
         cfg = LVQConfig(alpha=0.1, epochs=20, seed=seed)
         model = lvq_train(init_codebook(trn, cfg), trn)
         if evaluate(model, ten) / ten.n_instances > majority_rate:

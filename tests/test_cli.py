@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -444,6 +445,30 @@ class TestBench:
         miss, hit = ([{k: r[k] for k in keys} for r in json.loads((out / "report.json")
                       .read_text())["records"]] for out in runs)
         assert miss == hit
+
+    @pytest.mark.parametrize("m", [25000, 100000])
+    def test_peak_holds_one_copy_of_each_partition(self, tmp_path, cache_dir, m):
+        # tall-like: 5 Gaussian classes, N 20. The cache is warm, so the peak
+        # is the sweep's and not the parse's. It is set by the filter on the
+        # raw train rows: a raw copy of the test rows, or a second copy of the
+        # train rows, next to it passes the bound.
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 5, size=m)
+        x = rng.normal(size=(5, 20))[labels] + rng.normal(size=(m, 20))
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, np.column_stack([x, labels]), fmt=["%.4f"] * 20 + ["%d"], delimiter=",",
+                   header=",".join([f"f{j}" for j in range(20)] + ["class"]), comments="")
+        load_csv(path)
+        tracemalloc.start()
+        try:
+            code = main(["bench", str(path), "--out", str(tmp_path / "run"), "--select",
+                         "--fractions", "0.5", "--alphas", "0.1", "--repeats", "1",
+                         "--epochs", "1", "--no-plot"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 3.75 * x.nbytes, peak / x.nbytes
 
     def test_manifest_names_the_in_process_call(self, small_csv, tmp_path):
         out = tmp_path / "run"

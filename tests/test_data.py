@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, write_csv
+from conftest import lung_like, make_dataset, pima_like, write_csv
 from ifecf import data
 from ifecf.data import (
     DataError,
@@ -21,7 +21,7 @@ from ifecf.data import (
     load_csv,
     split,
 )
-from oracles import load_csv_oracle
+from oracles import load_csv_oracle, normalize_rows_oracle, split_rows_oracle
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -470,15 +470,15 @@ class TestDataset:
 
 class TestSplit:
     def test_pima_90_10_counts(self, pima_dataset):
-        train, test = split(pima_dataset, 0.9, seed=1)
+        train, test = map(pima_dataset.take, split(pima_dataset, 0.9, seed=1))
         assert train.n_instances == 691  # round(0.9 * 768)
         assert test.n_instances == 77
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         d = make_dataset(rng.normal(size=(10, 2)), rng.integers(0, 2, 10))
-        a = split(d, 0.5, seed=9)
-        b = split(d, 0.5, seed=9)
+        a = list(map(d.take, split(d, 0.5, seed=9)))
+        b = list(map(d.take, split(d, 0.5, seed=9)))
         assert np.array_equal(a[0].features, b[0].features)
         assert np.array_equal(a[1].features, b[1].features)
 
@@ -496,7 +496,7 @@ class TestSplit:
         rng = np.random.default_rng(2)
         labels = np.array([0] * 30 + [1] * 6)
         d = make_dataset(rng.normal(size=(36, 2)), labels)
-        train, test = split(d, 0.5, seed=4)
+        train, test = map(d.take, split(d, 0.5, seed=4))
         for part in (train, test):
             assert set(part.labels.tolist()) == {0, 1}
         assert train.n_instances == 18
@@ -511,7 +511,7 @@ class TestSplit:
         # class with the smallest remainder gives a row back
         labels = np.repeat([0, 1, 2], [2, 2, 30])
         d = make_dataset(np.arange(34.0).reshape(-1, 1), labels)
-        train, test = split(d, 0.2, seed=3)
+        train, test = map(d.take, split(d, 0.2, seed=3))
         assert np.bincount(train.labels).tolist() == [1, 1, 5]
         assert np.bincount(test.labels).tolist() == [1, 1, 25]
 
@@ -534,7 +534,7 @@ class TestSplit:
         feats = np.arange(m, dtype=float).reshape(-1, 1)
         d = make_dataset(feats, labels)
         try:
-            train, test = split(d, frac, seed=seed)
+            train, test = map(d.take, split(d, frac, seed=seed))
         except DataError:
             return  # degenerate fraction for this m
         seen = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())
@@ -545,25 +545,25 @@ class TestNormalizer:
     def test_affine_endpoints(self):
         d = make_dataset([[2.0], [4.0], [6.0]], [0, 1, 0])
         p = fit_normalizer(d)
-        nd = apply_normalizer(d, p)
+        nd = apply_normalizer(d, p, np.arange(3))
         assert nd.features[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_feature_maps_to_half(self):
         d = make_dataset([[3.0], [3.0], [3.0]], [0, 1, 0])
-        nd = apply_normalizer(d, fit_normalizer(d))
+        nd = apply_normalizer(d, fit_normalizer(d), np.arange(3))
         assert nd.features[:, 0].tolist() == [0.5, 0.5, 0.5]
 
     def test_constant_feature_on_other_rows(self):
         train = make_dataset([[1.0, 3.0], [5.0, 3.0]], [0, 1])
         test = make_dataset([[2.0, 7.0], [9.0, -1.0]], [0, 1])
-        nt = apply_normalizer(test, fit_normalizer(train))
+        nt = apply_normalizer(test, fit_normalizer(train), np.arange(2))
         assert nt.features.tolist() == [[0.25, 0.5], [2.0, 0.5]]
 
     def test_test_values_not_clipped(self):
         train = make_dataset([[2.0], [6.0]], [0, 1])
         p = fit_normalizer(train)
         test = make_dataset([[8.0], [0.0]], [0, 1])
-        nt = apply_normalizer(test, p)
+        nt = apply_normalizer(test, p, np.arange(2))
         assert nt.features[0, 0] == pytest.approx(1.5)  # (8-2)/(6-2)
         assert nt.features[1, 0] == pytest.approx(-0.5)
 
@@ -572,7 +572,7 @@ class TestNormalizer:
         p = fit_normalizer(train)
         other = make_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(DataError, match="N=2"):
-            apply_normalizer(other, p)
+            apply_normalizer(other, p, np.arange(2))
 
     def test_overflowing_columns_keep_their_bits_under_power_of_two_scaling(self):
         # column 0's train range passes the float64 maximum at k = 1023, and
@@ -584,7 +584,8 @@ class TestNormalizer:
             parts = [make_dataset(np.column_stack([np.ldexp(x[:, :2], k), x[:, 2:]]),
                                   [0, 1, 0][:len(x)]) for x in (train, test)]
             norm = fit_normalizer(parts[0])
-            return b"".join(apply_normalizer(p, norm).features.tobytes() for p in parts)
+            return b"".join(apply_normalizer(p, norm, np.arange(p.n_instances)).features.tobytes()
+                            for p in parts)
 
         want = normalized(0)
         assert [k for k in range(1024) if normalized(k) != want] == []
@@ -597,15 +598,65 @@ class TestNormalizer:
         test = make_dataset([[1e-300, 9.0], [1e10, 1.5]], [0, 1])
         norm = fit_normalizer(train)
         with pytest.raises(DataError, match="^column 'f0': a value normalizes past the float64"):
-            apply_normalizer(test, norm)
-        assert apply_normalizer(train, norm).features[:, 0].tolist() == [0.0, 0.5, 1.0]
+            apply_normalizer(test, norm, np.arange(2))
+        assert (apply_normalizer(train, norm, np.arange(3)).features[:, 0].tolist()
+                == [0.0, 0.5, 1.0])
 
     def test_idempotent_on_train(self):
         rng = np.random.default_rng(11)
         d = make_dataset(rng.normal(size=(15, 3)), rng.integers(0, 2, 15))
-        nd = apply_normalizer(d, fit_normalizer(d))
-        nd2 = apply_normalizer(nd, fit_normalizer(nd))
+        nd = apply_normalizer(d, fit_normalizer(d), np.arange(15))
+        nd2 = apply_normalizer(nd, fit_normalizer(nd), np.arange(15))
         assert np.allclose(nd.features, nd2.features)
+
+
+
+class TestRowPath:
+    """``split``'s row indices and ``apply_normalizer``'s gather of them give
+    the bits of ``split_rows_oracle`` and ``normalize_rows_oracle``: per-class
+    lists of rows, and the normalizer on a ``Dataset.take`` copy."""
+
+    @pytest.mark.parametrize("make", [pima_like, lung_like])
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.7, 0.9])
+    def test_split_rows_are_the_per_class_lists(self, make, fraction):
+        d = make()
+        for seed in (0, 1, 42, 2**63 + 5):
+            got, want = split(d, fraction, seed), split_rows_oracle(d, fraction, seed)
+            assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
+    @staticmethod
+    def _dataset():
+        # f0 is constant on the even rows, f1's range passes the float64
+        # maximum, f2 holds one value whose distance from the even rows' min
+        # does, and f3 is plain
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 4))
+        x[::2, 0] = 3.0
+        x[:, 1] = rng.uniform(-1.5, 1.5, size=40) * 2.0**1023
+        x[[0, 2], 1] = 1.5 * 2.0**1023, -1.5 * 2.0**1023
+        x[:, 2] *= 1e307
+        x[7, 2] = 1.7e308
+        return make_dataset(x, rng.integers(0, 3, size=40))
+
+    @pytest.mark.parametrize("rows", ["even", "odd", "shuffled", "repeated"])
+    def test_rows_map_to_the_take_copy_bits(self, rows):
+        d = self._dataset()
+        norm = fit_normalizer(d.take(np.arange(0, 40, 2)))
+        rng = np.random.default_rng(2)
+        rows = {"even": np.arange(0, 40, 2), "odd": np.arange(1, 40, 2),
+                "shuffled": rng.permutation(40)[:25], "repeated": rng.integers(0, 40, 60)}[rows]
+        got, want = apply_normalizer(d, norm, rows), normalize_rows_oracle(d, norm, rows)
+        assert _same(got, want)
+
+    def test_value_far_outside_a_tiny_range_raises_the_take_copy_error(self):
+        x = np.array([[0.0, 1.0], [1e-300, 2.0], [2e-300, 3.0], [1e10, 1.5], [5e-301, 9.0]])
+        d = make_dataset(x, [0, 1, 0, 1, 1])
+        norm = fit_normalizer(d.take([0, 1, 2]))
+        with pytest.raises(DataError) as want:
+            normalize_rows_oracle(d, norm, [4, 3])
+        with pytest.raises(DataError) as got:
+            apply_normalizer(d, norm, [4, 3])
+        assert str(got.value) == str(want.value)
 
 
 def _same(a: Dataset, b: Dataset) -> bool:

@@ -546,7 +546,7 @@ class TestClassify:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             d = two_gaussians(rng, m=120, sigma=0.1, sep=1.0)
-            tr, te = split(d, 0.7, seed=seed)
+            tr, te = map(d.take, split(d, 0.7, seed=seed))
             cfg = LVQConfig(alpha=0.1, epochs=10, seed=seed)
             model = train(init_codebook(tr, cfg), tr)
             if evaluate(model, te) / te.n_instances >= 0.95:
